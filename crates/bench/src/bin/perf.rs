@@ -31,7 +31,7 @@ use bombdroid_crypto::{aes, blob, kdf, sha1, sha256};
 use bombdroid_dex::{wire, Value};
 use bombdroid_obs::{self as obs, ObsMode, Recorder, ShardAggregator};
 use bombdroid_runtime::{
-    DeviceEnv, EventSource, InstalledPackage, RandomEventSource, Vm, VmEngine, VmOptions,
+    DeviceEnv, EventSource, InstalledPackage, RandomEventSource, Vm, VmOptions,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -388,13 +388,12 @@ fn run_all(config: &PerfConfig, filter: Option<&str>) -> Vec<BenchResult> {
             }));
         }
         if wanted("vm/drive_coverage_on") {
-            // The same 50-event drive with the edge-coverage hook armed
-            // (decoded engine): the fuzzer's per-exec cost. Paired with
-            // vm/drive_protected_50ev it bounds the hook's overhead; the
-            // disabled-hook side is pinned exactly (telemetry-identical)
-            // by the attacks determinism suite.
+            // The same 50-event drive with the edge-coverage hook armed:
+            // the fuzzer's per-exec cost. Paired with vm/drive_protected_50ev
+            // it bounds the hook's overhead; the disabled-hook side is
+            // pinned exactly (telemetry-identical) by the attacks
+            // determinism suite.
             let cov_opts = VmOptions {
-                engine: VmEngine::Decoded,
                 collect_coverage: true,
                 ..VmOptions::default()
             };

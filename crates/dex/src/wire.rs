@@ -178,6 +178,11 @@ impl<'a> Reader<'a> {
         self.pos += n;
         Ok(s)
     }
+    /// Bytes left to read: an upper bound for any length prefix, so a
+    /// forged count can never size an allocation past the input.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
@@ -756,7 +761,8 @@ fn read_instr(r: &mut Reader) -> Result<Instr, WireError> {
         7 => {
             let src = r.reg()?;
             let n = r.len()?;
-            let mut arms = Vec::with_capacity(n);
+            // Each arm is an i64 case plus a u32 target: 12 bytes.
+            let mut arms = Vec::with_capacity(n.min(r.remaining() / 12));
             for _ in 0..n {
                 let v = r.i64()?;
                 let t = r.len()?;
@@ -1222,6 +1228,22 @@ mod tests {
         for cut in [9, 20, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_dex(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn forged_switch_arm_count_is_a_typed_error() {
+        // One instruction, opcode 7 (switch), src register 0, arm count
+        // u32::MAX: 11 bytes that claim ~64 GiB of arms must fail on the
+        // missing input, not abort the process on the allocation.
+        let mut bytes = 1u32.to_le_bytes().to_vec();
+        bytes.push(7);
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 11);
+        assert_eq!(
+            decode_fragment(&bytes),
+            Err(WireError::UnexpectedEof { at: 11 })
+        );
     }
 
     #[test]

@@ -89,11 +89,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so hostile input (a checkpoint or reference file full of
+/// `[`) must fail with a [`ParseError`] rather than overflow the stack. The
+/// artifacts this workspace writes nest fewer than ten levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses `input` as a single JSON value (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -107,6 +114,8 @@ pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -147,8 +156,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.eat_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.eat_keyword("false", JsonValue::Bool(false)),
@@ -156,6 +165,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Runs one array/object parser one nesting level down, refusing to
+    /// go past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, ParseError>,
+    ) -> Result<JsonValue, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, ParseError> {
@@ -330,6 +354,22 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // A million open brackets must be a ParseError, not a stack
+        // overflow.
+        let hostile = "[".repeat(1_000_000);
+        let err = parse(&hostile).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Objects count toward the same limit.
+        let err = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // Exactly MAX_DEPTH levels still parse.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Pre-decode pass: lowers `dex::Instr` method bodies into flat,
-//! cache-friendly [`DecodedOp`] arrays.
+//! Pre-decode pass: lowers `dex::Instr` bodies — methods, decrypted
+//! fragments and detached fragments — into flat, cache-friendly
+//! [`DecodedOp`] arrays, the only form the VM executes.
 //!
 //! Decoding happens once per method per package (lazily, behind a
 //! [`OnceLock`], next to the package's lazy class digests and dispatch
@@ -12,8 +13,7 @@
 //! * `Invoke` callees are resolved through the package's O(1) dispatch
 //!   index into flat method ids, so calls skip the per-call hash lookup;
 //! * constants are pre-converted into [`RtValue`]s and static-field keys
-//!   are pre-rendered, eliminating the per-execution `to_string()`s of the
-//!   tree-walking interpreter;
+//!   are pre-rendered, so execution never calls `to_string()`;
 //! * hot instruction pairs are fused into superinstructions
 //!   ([`DecodedOp::HashIf`], [`DecodedOp::BinOpConstIf`],
 //!   [`DecodedOp::ConstIf`], [`DecodedOp::ConstArrayGet`]), and
@@ -22,10 +22,10 @@
 //!   target.
 //!
 //! The decoded form is an *encoding* change only: every fused op replays
-//! the exact micro-op sequence of the original pair (charge, write,
-//! charge, branch), and every `If` carries the original instruction index
-//! so QC-coverage telemetry keys (`eq_satisfied` / `outer_satisfied`)
-//! stay bit-identical with the legacy tree-walker.
+//! the unfused op sequence (charge, write, charge, branch), and every `If`
+//! carries the original instruction index so QC-coverage telemetry keys
+//! (`eq_satisfied` / `outer_satisfied`) name source pcs. The golden
+//! digests in `tests/behavior_preservation.rs` pin this contract.
 
 use crate::package::InstalledPackage;
 use crate::value::RtValue;
@@ -235,8 +235,8 @@ pub(crate) enum DecodedOp {
     /// Fused run of two or more consecutive `BinOp`/`BinOpConst`
     /// instructions — one dispatch for a whole straight-line arithmetic
     /// chain (generated hash arithmetic is dominated by these). Each step
-    /// replays its legacy micro-ops in order: charge, operand reads (with
-    /// the legacy fault precedence), compute, write.
+    /// replays the unfused op in order: charge, operand reads (lhs faults
+    /// before rhs), compute, write.
     ArithChain {
         steps: Box<[ArithStep]>,
     },
@@ -295,8 +295,8 @@ impl DecodedProgram {
         }
     }
 
-    /// Resolves a method reference to its flat id, with exactly the legacy
-    /// shadowing semantics (via the package's dispatch index).
+    /// Resolves a method reference to its flat id, with the package's
+    /// shadowing semantics (via its dispatch index).
     pub fn resolve(&self, pkg: &InstalledPackage, mref: &MethodRef) -> Option<usize> {
         pkg.resolve_method(mref)
             .map(|(ci, mi)| self.class_offsets[ci] + mi)

@@ -1,18 +1,18 @@
-//! The two dispatch loops: the pre-decoded engine (default) and the
-//! legacy tree-walking interpreter it must stay bit-identical to.
+//! The dispatch loop: every instruction the VM runs — method bodies,
+//! decrypted fragments, detached fragments — goes through
+//! [`Vm::exec_decoded`].
 //!
-//! Every decoded op — including the fused superinstructions — replays the
-//! exact micro-op sequence of the legacy arm(s) it replaces: the same
-//! `charge` calls in the same order, the same fault precedence, the same
-//! telemetry writes keyed on original instruction indices. The
-//! telemetry-identity mode of `tests/behavior_preservation.rs` holds both
-//! loops to that contract.
+//! Each fused superinstruction replays the unfused op sequence it
+//! replaces: the same `charge` calls in the same order, the same fault
+//! precedence, the same telemetry writes keyed on original instruction
+//! indices. The golden digests in `tests/behavior_preservation.rs` pin
+//! that contract.
 
 use crate::decode::{ArithRhs, DecodedBody, DecodedOp, DecodedProgram, DecodedRhs};
 use crate::value::RtValue;
 use crate::vm::{Fault, Flow, Vm};
 use bombdroid_crypto::kdf;
-use bombdroid_dex::{BlobId, CondOp, Instr, MethodRef, RegOrConst, UnOp};
+use bombdroid_dex::{BlobId, CondOp, MethodRef, UnOp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -102,14 +102,12 @@ impl Vm {
 
     /// The decoded dispatch loop. `regs` is grown to the body's frame size
     /// on entry (fragments execute in their caller's frame), so every slot
-    /// index is in-bounds and reads of never-written slots yield `Null`
-    /// exactly like the legacy engine's out-of-range register reads.
+    /// index is in-bounds and reads of never-written slots yield `Null`.
     ///
-    /// `cov_unit` names the body for coverage edges: the flat decoded
-    /// method id for method bodies, `0x8000_0000 | blob id` for decrypted
-    /// fragments (whose decoded pcs restart at zero). Only the control-flow
-    /// arms record edges, and only when [`crate::VmOptions::collect_coverage`]
-    /// is on; coverage never charges, so the cost model is unaffected.
+    /// `cov_unit` names the body for coverage edges (see
+    /// [`crate::CovEdge`]). Only the control-flow arms record edges, and
+    /// only when [`crate::VmOptions::collect_coverage`] is on; coverage
+    /// never charges, so the cost model is unaffected.
     pub(crate) fn exec_decoded(
         &mut self,
         prog: &Arc<DecodedProgram>,
@@ -210,23 +208,15 @@ impl Vm {
                     dst,
                 } => {
                     let argv: Vec<RtValue> = args.iter().map(|&r| regs[r].clone()).collect();
-                    let ret = match target {
-                        Some(id) => {
-                            if depth + 1 >= self.opts.max_call_depth {
-                                return Err(Fault::StackOverflow);
-                            }
-                            self.call_decoded(prog, *id as usize, argv, depth + 1)?
-                        }
-                        None => {
-                            // The legacy engine depth-checks before
-                            // resolving: a too-deep call to a missing
-                            // method is a StackOverflow.
-                            if depth + 1 >= self.opts.max_call_depth {
-                                return Err(Fault::StackOverflow);
-                            }
-                            return Err(Fault::UnknownMethod(callee.clone()));
-                        }
+                    // Depth is checked before resolution: a too-deep call
+                    // to a missing method is a StackOverflow.
+                    if depth + 1 >= self.opts.max_call_depth {
+                        return Err(Fault::StackOverflow);
+                    }
+                    let Some(id) = target else {
+                        return Err(Fault::UnknownMethod(callee.clone()));
                     };
+                    let ret = self.call_decoded(prog, *id as usize, argv, depth + 1)?;
                     if let Some(d) = dst {
                         regs[*d] = ret;
                     }
@@ -481,10 +471,10 @@ impl Vm {
                 }
                 DecodedOp::ArithChain { steps } => {
                     self.op_mix.arith_chain += 1;
-                    // Each step replays its legacy micro-ops exactly:
-                    // charge, lhs read, rhs read, compute, write — so fuel
-                    // exhaustion and type/div faults land mid-chain at the
-                    // same instruction they would on the tree-walker.
+                    // Each step replays the unfused op exactly: charge, lhs
+                    // read, rhs read, compute, write — so fuel exhaustion
+                    // and type/div faults land mid-chain at the same
+                    // instruction they would without fusion.
                     for step in steps.iter() {
                         self.charge(1)?;
                         let a = regs[step.lhs]
@@ -514,286 +504,6 @@ impl Vm {
                     let iv = regs[*idx_dst].clone();
                     let v = self.array_slot_vals(&arr_val, &iv)?.clone();
                     regs[*dst] = v;
-                }
-            }
-            pc = next;
-        }
-        Ok(Flow::Done)
-    }
-
-    /// The legacy tree-walking interpreter over `dex::Instr`, byte-for-byte
-    /// the pre-decode semantics. Selected via `BOMBDROID_VM=legacy` (or
-    /// `VmEngine::Legacy`); also runs detached fragments, which are
-    /// attacker-side one-shots not worth pre-decoding.
-    pub(crate) fn exec_body(
-        &mut self,
-        mref: &MethodRef,
-        body: &[Instr],
-        regs: &mut Vec<RtValue>,
-        depth: usize,
-    ) -> Result<Flow, Fault> {
-        let mut pc = 0usize;
-        while pc < body.len() {
-            let instr = &body[pc];
-            let mut next = pc + 1;
-            match instr {
-                Instr::Const { dst, value } => {
-                    self.charge(1)?;
-                    Self::set_reg(regs, *dst, value.clone().into());
-                }
-                Instr::Move { dst, src } => {
-                    self.charge(1)?;
-                    let v = self.reg(regs, *src);
-                    Self::set_reg(regs, *dst, v);
-                }
-                Instr::BinOp { op, dst, lhs, rhs } => {
-                    self.charge(1)?;
-                    let a = self
-                        .reg(regs, *lhs)
-                        .as_int()
-                        .ok_or(Fault::TypeError("binop lhs not int"))?;
-                    let b = self
-                        .reg(regs, *rhs)
-                        .as_int()
-                        .ok_or(Fault::TypeError("binop rhs not int"))?;
-                    Self::set_reg(regs, *dst, RtValue::Int(Self::arith(*op, a, b)?));
-                }
-                Instr::BinOpConst { op, dst, lhs, rhs } => {
-                    self.charge(1)?;
-                    let a = self
-                        .reg(regs, *lhs)
-                        .as_int()
-                        .ok_or(Fault::TypeError("binop lhs not int"))?;
-                    Self::set_reg(regs, *dst, RtValue::Int(Self::arith(*op, a, *rhs)?));
-                }
-                Instr::UnOp { op, dst, src } => {
-                    self.charge(1)?;
-                    let a = self
-                        .reg(regs, *src)
-                        .as_int()
-                        .ok_or(Fault::TypeError("unop operand not int"))?;
-                    let v = match op {
-                        UnOp::Neg => a.wrapping_neg(),
-                        UnOp::Not => !a,
-                        UnOp::Abs => a.wrapping_abs(),
-                    };
-                    Self::set_reg(regs, *dst, RtValue::Int(v));
-                }
-                Instr::StrOp { op, dst, lhs, rhs } => {
-                    self.charge(2)?;
-                    let a = self.reg(regs, *lhs);
-                    let rhs_val = rhs.map(|r| self.reg(regs, r));
-                    let v = self.str_op_vals(*op, a, rhs_val)?;
-                    Self::set_reg(regs, *dst, v);
-                }
-                Instr::If {
-                    cond,
-                    lhs,
-                    rhs,
-                    target,
-                } => {
-                    self.charge(1)?;
-                    let a = self.reg(regs, *lhs);
-                    let (b, is_const) = match rhs {
-                        RegOrConst::Reg(r) => (self.reg(regs, *r), false),
-                        RegOrConst::Const(v) => (v.clone().into(), true),
-                    };
-                    if self.cond_branch(a, b, is_const, *cond, pc, mref)? {
-                        next = *target;
-                    }
-                }
-                Instr::Switch { src, arms, default } => {
-                    self.charge(1)?;
-                    let v = self
-                        .reg(regs, *src)
-                        .as_int()
-                        .ok_or(Fault::TypeError("switch operand not int"))?;
-                    next = arms
-                        .iter()
-                        .find(|(case, _)| *case == v)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                }
-                Instr::Goto { target } => {
-                    self.charge(1)?;
-                    next = *target;
-                }
-                Instr::Invoke { method, args, dst } => {
-                    let argv: Vec<RtValue> = args.iter().map(|r| self.reg(regs, *r)).collect();
-                    let ret = self.call(method, argv, depth + 1)?;
-                    if let Some(d) = dst {
-                        Self::set_reg(regs, *d, ret);
-                    }
-                }
-                Instr::InvokeReflect { name, args, dst } => {
-                    self.charge(10)?;
-                    let target = self
-                        .reg(regs, *name)
-                        .as_str()
-                        .ok_or(Fault::TypeError("reflect name not string"))?
-                        .to_string();
-                    if self.opts.hooks.trace_reflection {
-                        let at = self.clock_ms;
-                        self.telemetry.reflection_trace.push((target.clone(), at));
-                    }
-                    let argv: Vec<RtValue> = args.iter().map(|r| self.reg(regs, *r)).collect();
-                    let ret = self.reflect_call(&target, &argv)?;
-                    if let Some(d) = dst {
-                        Self::set_reg(regs, *d, ret);
-                    }
-                }
-                Instr::HostCall { api, args, dst } => {
-                    self.charge(10)?;
-                    let argv: Vec<RtValue> = args.iter().map(|r| self.reg(regs, *r)).collect();
-                    let ret = self.host_call(api, &argv)?;
-                    if let Some(d) = dst {
-                        Self::set_reg(regs, *d, ret);
-                    }
-                }
-                Instr::GetField { dst, obj, field } => {
-                    self.charge(1)?;
-                    let v = match self.reg(regs, *obj) {
-                        RtValue::Obj(id) => self
-                            .objects
-                            .get(id)
-                            .and_then(|o| o.get(&field.name).cloned())
-                            .unwrap_or(RtValue::Null),
-                        RtValue::Null => return Err(Fault::NullDeref),
-                        _ => return Err(Fault::TypeError("iget on non-object")),
-                    };
-                    Self::set_reg(regs, *dst, v);
-                }
-                Instr::PutField { obj, field, src } => {
-                    self.charge(1)?;
-                    let v = self.reg(regs, *src);
-                    if self.opts.record_field_values {
-                        if let Some(c) = v.to_const() {
-                            let at = self.clock_ms;
-                            self.telemetry.record_field(field.to_string(), at, c);
-                        }
-                    }
-                    match self.reg(regs, *obj) {
-                        RtValue::Obj(id) => {
-                            let o = Arc::make_mut(&mut self.objects)
-                                .get_mut(id)
-                                .ok_or(Fault::TypeError("dangling object"))?;
-                            o.insert(field.name.clone(), v);
-                        }
-                        RtValue::Null => return Err(Fault::NullDeref),
-                        _ => return Err(Fault::TypeError("iput on non-object")),
-                    }
-                }
-                Instr::GetStatic { dst, field } => {
-                    self.charge(1)?;
-                    // Unwritten statics read as 0, matching Java's default
-                    // initialization of numeric static fields.
-                    let v = self
-                        .statics
-                        .get(&field.to_string())
-                        .cloned()
-                        .unwrap_or(RtValue::Int(0));
-                    Self::set_reg(regs, *dst, v);
-                }
-                Instr::PutStatic { field, src } => {
-                    self.charge(1)?;
-                    let v = self.reg(regs, *src);
-                    if self.opts.record_field_values {
-                        if let Some(c) = v.to_const() {
-                            let at = self.clock_ms;
-                            self.telemetry.record_field(field.to_string(), at, c);
-                        }
-                    }
-                    Arc::make_mut(&mut self.statics).insert(field.to_string(), v);
-                }
-                Instr::NewInstance { dst, class: _ } => {
-                    self.charge(2)?;
-                    let objects = Arc::make_mut(&mut self.objects);
-                    let id = objects.len();
-                    objects.push(BTreeMap::new());
-                    Self::set_reg(regs, *dst, RtValue::Obj(id));
-                }
-                Instr::NewArray { dst, len } => {
-                    self.charge(2)?;
-                    let n = self
-                        .reg(regs, *len)
-                        .as_int()
-                        .ok_or(Fault::TypeError("array length not int"))?;
-                    if !(0..=1_000_000).contains(&n) {
-                        return Err(Fault::IndexOutOfBounds);
-                    }
-                    let arrays = Arc::make_mut(&mut self.arrays);
-                    let id = arrays.len();
-                    arrays.push(vec![RtValue::Int(0); n as usize]);
-                    Self::set_reg(regs, *dst, RtValue::Arr(id));
-                }
-                Instr::ArrayGet { dst, arr, idx } => {
-                    self.charge(1)?;
-                    let arr_val = self.reg(regs, *arr);
-                    let idx_val = self.reg(regs, *idx);
-                    let v = self.array_slot_vals(&arr_val, &idx_val)?.clone();
-                    Self::set_reg(regs, *dst, v);
-                }
-                Instr::ArrayPut { arr, idx, src } => {
-                    self.charge(1)?;
-                    let v = self.reg(regs, *src);
-                    let arr_val = self.reg(regs, *arr);
-                    let idx_val = self.reg(regs, *idx);
-                    *self.array_slot_vals(&arr_val, &idx_val)? = v;
-                }
-                Instr::ArrayLen { dst, arr } => {
-                    self.charge(1)?;
-                    let n = match self.reg(regs, *arr) {
-                        RtValue::Arr(id) => self
-                            .arrays
-                            .get(id)
-                            .ok_or(Fault::TypeError("dangling array"))?
-                            .len(),
-                        RtValue::Null => return Err(Fault::NullDeref),
-                        _ => return Err(Fault::TypeError("array-length on non-array")),
-                    };
-                    Self::set_reg(regs, *dst, RtValue::Int(n as i64));
-                }
-                Instr::Hash { dst, src, salt } => {
-                    // Hashing ≤ 16 input bytes is a handful of SHA-1
-                    // compressions — cheap next to interpreter dispatch.
-                    self.charge(4)?;
-                    let cb = self
-                        .reg(regs, *src)
-                        .canonical_bytes()
-                        .ok_or(Fault::TypeError("hash of reference value"))?;
-                    let digest = kdf::condition_hash(&cb, salt);
-                    Self::set_reg(regs, *dst, RtValue::Bytes(Arc::from(&digest[..])));
-                }
-                Instr::DecryptExec { blob, key_src } => {
-                    let key_val = self.reg(regs, *key_src);
-                    let fragment = self.fragment_for(*blob, key_val)?;
-                    let raw = Arc::clone(&fragment.raw);
-                    if let Flow::Returned(v) = self.exec_body(mref, &raw, regs, depth)? {
-                        return Ok(Flow::Returned(v));
-                    }
-                }
-                Instr::StegoExtract { dst, src } => {
-                    self.charge(5)?;
-                    let v = match self.reg(regs, *src).as_str() {
-                        Some(cover) => match bombdroid_apk::stego::extract(cover) {
-                            Some(bytes) => RtValue::Bytes(Arc::from(bytes.as_slice())),
-                            None => RtValue::Null,
-                        },
-                        None => RtValue::Null,
-                    };
-                    Self::set_reg(regs, *dst, v);
-                }
-                Instr::Return { src } => {
-                    self.charge(1)?;
-                    let v = src.map(|r| self.reg(regs, r)).unwrap_or(RtValue::Null);
-                    return Ok(Flow::Returned(v));
-                }
-                Instr::Throw { msg } => {
-                    self.charge(1)?;
-                    return Err(Fault::Thrown(msg.clone()));
-                }
-                Instr::Nop => {
-                    self.charge(1)?;
                 }
             }
             pc = next;

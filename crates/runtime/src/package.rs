@@ -27,8 +27,7 @@ pub struct InstalledPackage {
     /// first query and shared by every VM booting this package.
     method_index: OnceLock<HashMap<MethodRef, (usize, usize)>>,
     /// Pre-decoded execution program (flat `DecodedOp` bodies), built on
-    /// first boot of a decoded-engine VM and shared by every session and
-    /// fork of this package.
+    /// first use and shared by every session and fork of this package.
     decoded: OnceLock<Arc<crate::decode::DecodedProgram>>,
     /// String resources (`strings.xml`), readable by the app.
     pub resources: BTreeMap<String, String>,

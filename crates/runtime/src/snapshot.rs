@@ -42,7 +42,6 @@ pub struct VmSnapshot {
     fuel: u64,
     killed: bool,
     frozen: bool,
-    decoded_engine: bool,
     op_mix: OpMix,
     coverage: Option<BTreeSet<CovEdge>>,
 }
@@ -70,7 +69,6 @@ impl Vm {
             fuel: self.fuel,
             killed: self.killed,
             frozen: self.frozen,
-            decoded_engine: self.decoded_engine,
             op_mix: self.op_mix,
             coverage: self.coverage.clone(),
         }
@@ -106,7 +104,6 @@ impl VmSnapshot {
             fuel: self.fuel,
             killed: self.killed,
             frozen: self.frozen,
-            decoded_engine: self.decoded_engine,
             // Snapshots exist only at event boundaries, where per-event
             // call-count deltas are always drained.
             call_deltas: Vec::new(),
@@ -141,7 +138,6 @@ impl VmSnapshot {
             fuel: 0,
             killed: false,
             frozen: false,
-            decoded_engine: self.decoded_engine,
             // Snapshots exist only at event boundaries, where per-event
             // call-count deltas are always drained.
             call_deltas: Vec::new(),
@@ -224,7 +220,6 @@ impl SessionPool {
 mod tests {
     use super::*;
     use crate::driver::{run_session, RandomEventSource};
-    use crate::vm::VmEngine;
     use bombdroid_apk::{package_app, AppMeta, DeveloperKey, StringsXml};
     use bombdroid_dex::{
         Class, DexFile, EntryPoint, FieldRef, MethodBuilder, MethodRef, Reg, Value,
@@ -269,23 +264,17 @@ mod tests {
     #[test]
     fn pristine_fork_is_bit_identical_to_cold_boot() {
         let pkg = Arc::new(fixture());
-        for engine in [VmEngine::Decoded, VmEngine::Legacy] {
-            let opts = VmOptions {
-                engine,
-                ..VmOptions::default()
-            };
-            let pool = {
-                let booted = Vm::new(Arc::clone(&pkg), env(1), 0, opts.clone());
-                SessionPool::warmed(booted.snapshot())
-            };
-            let mut forked = pool.session(env(2), 99);
-            let mut cold = Vm::new(Arc::clone(&pkg), env(2), 99, opts);
-            drive(&mut forked, 5);
-            drive(&mut cold, 5);
-            assert_eq!(forked.telemetry(), cold.telemetry());
-            assert_eq!(forked.statics_snapshot(), cold.statics_snapshot());
-            assert_eq!(forked.clock_ms(), cold.clock_ms());
-        }
+        let pool = {
+            let booted = Vm::boot(Arc::clone(&pkg), env(1), 0);
+            SessionPool::warmed(booted.snapshot())
+        };
+        let mut forked = pool.session(env(2), 99);
+        let mut cold = Vm::boot(Arc::clone(&pkg), env(2), 99);
+        drive(&mut forked, 5);
+        drive(&mut cold, 5);
+        assert_eq!(forked.telemetry(), cold.telemetry());
+        assert_eq!(forked.statics_snapshot(), cold.statics_snapshot());
+        assert_eq!(forked.clock_ms(), cold.clock_ms());
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub struct ResponseEvent {
 /// Everything recorded while a VM runs.
 ///
 /// Derives `PartialEq`/`Eq` so suites can assert *bit-identity* between
-/// runs — the telemetry-identity mode of `tests/behavior_preservation.rs`
-/// diffs whole `Telemetry` values across execution engines.
+/// runs, and `Debug` renders every field in a fixed order — the golden
+/// digests of `tests/behavior_preservation.rs` hash that rendering.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Telemetry {
     /// Instructions executed (the cost model's cycle count).

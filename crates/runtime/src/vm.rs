@@ -7,12 +7,11 @@
 //! one-time effort by caching it in memory", paper §8.4).
 //!
 //! The execution engine is layered across three sibling modules:
-//! [`crate::decode`] lowers method bodies once into flat [`DecodedOp`]
-//! arrays, [`crate::exec`] holds both dispatch loops (the pre-decoded
-//! engine and the legacy tree-walker it must stay bit-identical to), and
-//! [`crate::snapshot`] provides copy-on-write session snapshots and
-//! `Vm::fork`. This module owns the VM state, the cost model, and the
-//! framework shims shared by both engines.
+//! [`crate::decode`] lowers method bodies and fragments into flat
+//! [`DecodedOp`] arrays, [`crate::exec`] holds the one dispatch loop that
+//! runs every instruction, and [`crate::snapshot`] provides copy-on-write
+//! session snapshots and `Vm::fork`. This module owns the VM state, the
+//! cost model, and the framework shims the dispatch loop calls into.
 //!
 //! [`DecodedOp`]: crate::decode::DecodedOp
 
@@ -22,7 +21,7 @@ use crate::package::InstalledPackage;
 use crate::telemetry::{ResponseEvent, ResponseKind, Telemetry};
 use crate::value::RtValue;
 use bombdroid_crypto::{blob, kdf};
-use bombdroid_dex::{wire, BinOp, BlobId, CondOp, HostApi, Instr, MethodRef, Reg, StrOp};
+use bombdroid_dex::{wire, BinOp, BlobId, CondOp, HostApi, Instr, MethodRef, StrOp};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -31,12 +30,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// One observed control-flow edge on the decoded engine:
 /// `(coverage unit, from decoded pc, to decoded pc)`.
 ///
-/// The unit is the decoded program's flat method id for method bodies and
-/// `0x8000_0000 | blob id` for decrypted fragments (fragment ops are
-/// numbered from zero in their own body, so without the unit tag a
-/// fragment edge could alias a host-method edge). Plain tuples keep the
-/// set `Ord`-sorted, so exports are deterministic.
+/// The unit is the decoded program's flat method id for method bodies,
+/// `0x8000_0000 | blob id` for decrypted fragments, and
+/// [`DETACHED_COV_UNIT`] for detached fragments (each body numbers its ops
+/// from zero, so without the unit tag a fragment edge could alias a
+/// host-method edge). Plain tuples keep the set `Ord`-sorted, so exports
+/// are deterministic.
 pub type CovEdge = (u32, u32, u32);
+
+/// Coverage unit of [`Vm::run_detached_fragment`] bodies. Method ids stay
+/// below `0x8000_0000`, and blob ids index the package's blob table, so
+/// a decrypted fragment reaches this unit only with 2^31 blobs.
+pub const DETACHED_COV_UNIT: u32 = u32::MAX;
 
 /// Attacker-side hooks: an analyst may "hack and modify their own Android
 /// systems arbitrarily" (paper §2.2), so the VM can be instrumented when it
@@ -53,36 +58,15 @@ pub struct AttackerHooks {
     pub trace_reflection: bool,
 }
 
-/// Which execution engine a VM runs its bytecode on. Both engines are
-/// bit-identical in telemetry, cost charging, and observable behavior
-/// (proven by the behavior-preservation suite's telemetry-identity mode).
+/// The execution engine a VM runs its bytecode on. There is one: the
+/// pre-decoded engine. The enum and [`VmOptions::engine`] remain only
+/// because the benchmark package under `perfbench/` compiles against this
+/// crate by path and names both; selecting it changes nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VmEngine {
-    /// Resolve from the `BOMBDROID_VM` environment variable at boot:
-    /// `legacy` selects the tree-walker, anything else (or unset) the
-    /// pre-decoded engine. Read once per process.
+    /// The pre-decoded engine: flat ops, fused superinstructions.
     #[default]
-    Auto,
-    /// The pre-decoded engine (default): flat ops, fused superinstructions.
     Decoded,
-    /// The legacy tree-walking interpreter over `dex::Instr`. Kept as a
-    /// release-level fallback for one release; scheduled for removal.
-    Legacy,
-}
-
-impl VmEngine {
-    /// Whether this selection resolves to the decoded engine.
-    pub fn is_decoded(self) -> bool {
-        match self {
-            VmEngine::Decoded => true,
-            VmEngine::Legacy => false,
-            VmEngine::Auto => {
-                static ENV_LEGACY: OnceLock<bool> = OnceLock::new();
-                !*ENV_LEGACY
-                    .get_or_init(|| std::env::var("BOMBDROID_VM").is_ok_and(|v| v == "legacy"))
-            }
-        }
-    }
 }
 
 /// VM configuration.
@@ -102,8 +86,7 @@ pub struct VmOptions {
     /// same ciphertext was opened with the same key — per-VM cost charging
     /// and [`Telemetry`] are identical with the cache on or off.
     pub shared_fragment_cache: bool,
-    /// Execution engine selection (tests pin this explicitly; everything
-    /// else uses [`VmEngine::Auto`] and the `BOMBDROID_VM` variable).
+    /// Execution engine; [`VmEngine::Decoded`] is the only one.
     pub engine: VmEngine,
     /// Record control-flow edges ([`CovEdge`]) from the decoded dispatch
     /// loop — the greybox fuzzer's feedback signal. Off by default: the
@@ -123,7 +106,7 @@ impl Default for VmOptions {
             record_field_values: false,
             max_call_depth: 64,
             shared_fragment_cache: false,
-            engine: VmEngine::Auto,
+            engine: VmEngine::Decoded,
             collect_coverage: false,
             hooks: AttackerHooks::default(),
         }
@@ -144,9 +127,8 @@ fn shared_fragments() -> &'static Mutex<HashMap<SharedFragmentKey, Arc<Vec<Instr
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// A decrypted fragment as cached by one VM: the raw instruction form (fed
-/// to the legacy engine and the process-wide cache) plus its lazily decoded
-/// form.
+/// A decrypted fragment as cached by one VM: the raw instruction form (the
+/// process-wide cache's unit) plus its lazily decoded form.
 #[derive(Debug)]
 pub(crate) struct Fragment {
     pub raw: Arc<Vec<Instr>>,
@@ -289,9 +271,6 @@ pub struct Vm {
     pub(crate) fuel: u64,
     pub(crate) killed: bool,
     pub(crate) frozen: bool,
-    /// Engine selection resolved at boot (so a mid-run env change can never
-    /// switch engines under a session).
-    pub(crate) decoded_engine: bool,
     /// Decoded-engine call counts accumulated since the last event
     /// boundary, indexed by flat decoded method id. The hot path pays a
     /// vector increment per call; [`Vm::fold_call_deltas`] moves the
@@ -321,7 +300,6 @@ impl Vm {
         opts: VmOptions,
     ) -> Self {
         let pkg = pkg.into();
-        let decoded_engine = opts.engine.is_decoded();
         let coverage = opts.collect_coverage.then(BTreeSet::new);
         Vm {
             pkg,
@@ -338,7 +316,6 @@ impl Vm {
             fuel: 0,
             killed: false,
             frozen: false,
-            decoded_engine,
             call_deltas: Vec::new(),
             called_ids: Vec::new(),
             op_mix: OpMix::default(),
@@ -470,17 +447,20 @@ impl Vm {
     /// Executes a detached instruction fragment with a caller-supplied
     /// register file — the primitive behind *forced execution* and
     /// *slice execution* attacks (paper §2.1), where an analyst runs
-    /// extracted code outside its original control flow. Detached fragments
-    /// always run on the tree-walker: they are attacker-side one-shots, so
-    /// pre-decoding would cost more than it saves.
+    /// extracted code outside its original control flow. The body is
+    /// lowered against this package and dispatched like any method body,
+    /// at depth 0 under the `<detached>.fragment` method ref and coverage
+    /// unit [`DETACHED_COV_UNIT`].
     pub fn run_detached_fragment(
         &mut self,
         body: &[Instr],
         mut regs: Vec<RtValue>,
     ) -> Result<Option<RtValue>, Fault> {
         self.fuel = self.opts.fuel_per_event;
+        let prog = self.pkg.decoded_program();
+        let decoded = decode::decode_body(&self.pkg, &prog, body);
         let mref = MethodRef::new("<detached>", "fragment");
-        let flow = self.exec_body(&mref, body, &mut regs, 0);
+        let flow = self.exec_decoded(&prog, &decoded, &mut regs, &mref, 0, DETACHED_COV_UNIT);
         // Fragment code may invoke package methods; account them before
         // the caller can observe telemetry.
         self.fold_call_deltas();
@@ -561,71 +541,27 @@ impl Vm {
         Ok(())
     }
 
-    /// Calls `mref` on whichever engine this VM runs. The depth check comes
-    /// first on both paths (a too-deep call to a missing method is a
-    /// `StackOverflow`, not `UnknownMethod`).
+    /// Resolves and calls `mref`. The depth check comes first (a too-deep
+    /// call to a missing method is a `StackOverflow`, not `UnknownMethod`).
     pub(crate) fn call(
         &mut self,
         mref: &MethodRef,
         args: Vec<RtValue>,
         depth: usize,
     ) -> Result<RtValue, Fault> {
-        if self.decoded_engine {
-            if depth >= self.opts.max_call_depth {
-                return Err(Fault::StackOverflow);
-            }
-            let prog = self.pkg.decoded_program();
-            return match prog.resolve(&self.pkg, mref) {
-                Some(id) => self.call_decoded(&prog, id, args, depth),
-                None => Err(Fault::UnknownMethod(mref.clone())),
-            };
-        }
         if depth >= self.opts.max_call_depth {
             return Err(Fault::StackOverflow);
         }
-        let dex = self.pkg.dex.clone();
-        let method = self
-            .pkg
-            .resolve_method(mref)
-            .map(|(ci, mi)| &dex.classes[ci].methods[mi])
-            .ok_or_else(|| Fault::UnknownMethod(mref.clone()))?;
-        if args.len() != method.params as usize {
-            return Err(Fault::BadEvent(format!(
-                "{mref}: expected {} args, got {}",
-                method.params,
-                args.len()
-            )));
+        let prog = self.pkg.decoded_program();
+        match prog.resolve(&self.pkg, mref) {
+            Some(id) => self.call_decoded(&prog, id, args, depth),
+            None => Err(Fault::UnknownMethod(mref.clone())),
         }
-        *self.telemetry.method_calls.entry(mref.clone()).or_insert(0) += 1;
-        let mut regs = vec![RtValue::Null; method.registers.max(args.len() as u16) as usize];
-        for (i, a) in args.into_iter().enumerate() {
-            regs[i] = a;
-        }
-        self.charge(5)?;
-        match self.exec_body(mref, &method.body, &mut regs, depth)? {
-            Flow::Returned(v) => Ok(v),
-            Flow::Done => Ok(RtValue::Null),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn reg(&self, regs: &[RtValue], r: Reg) -> RtValue {
-        regs.get(r.0 as usize).cloned().unwrap_or(RtValue::Null)
-    }
-
-    #[inline]
-    pub(crate) fn set_reg(regs: &mut Vec<RtValue>, r: Reg, v: RtValue) {
-        let idx = r.0 as usize;
-        if idx >= regs.len() {
-            regs.resize(idx + 1, RtValue::Null);
-        }
-        regs[idx] = v;
     }
 
     /// Fetches (decrypting and caching if needed) the fragment behind
     /// `blob`, charging exactly like the historical inline sequence: cache
     /// hits charge 2, misses charge `50 + sealed/16` before key derivation.
-    /// Shared by both engines.
     pub(crate) fn fragment_for(
         &mut self,
         blob: BlobId,
@@ -763,8 +699,8 @@ impl Vm {
         }
     }
 
-    /// String-operation core over already-fetched values; both engines'
-    /// `StrOp` arms delegate here.
+    /// String-operation core over already-fetched values (the `StrOp` arm
+    /// of the dispatch loop).
     pub(crate) fn str_op_vals(
         &mut self,
         op: StrOp,

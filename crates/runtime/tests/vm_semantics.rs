@@ -7,6 +7,7 @@ use bombdroid_dex::{
     wire, BinOp, BlobId, Class, CondOp, DexFile, EncryptedBlob, Field, FieldRef, HostApi, Instr,
     MethodBuilder, MethodRef, Reg, RegOrConst, StrOp, Value,
 };
+use bombdroid_runtime::vm::DETACHED_COV_UNIT;
 use bombdroid_runtime::{DeviceEnv, Fault, InstalledPackage, RtValue, Vm, VmOptions};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -429,4 +430,52 @@ fn clock_advances_with_instructions_and_sleep() {
     let (vm, result) = run_one(dex, RtValue::Int(0));
     result.unwrap();
     assert!(vm.clock_ms() >= 2_500);
+}
+
+#[test]
+fn detached_fragments_run_on_the_dispatch_loop() {
+    // A detached fragment (the forced/slice-execution primitive) branches,
+    // calls into the package and returns a register, with coverage on: its
+    // edges carry the detached unit, its satisfied condition is keyed on
+    // the `<detached>.fragment` ref at the source pc, and the call it makes
+    // is accounted once the fragment finishes.
+    let dex = one_method_dex(|b| {
+        b.ret_void();
+    });
+    let opts = VmOptions {
+        collect_coverage: true,
+        ..VmOptions::default()
+    };
+    let mut vm = Vm::new(install(dex), DeviceEnv::attacker_lab(1).remove(0), 3, opts);
+    let body = vec![
+        Instr::Const {
+            dst: Reg(1),
+            value: Value::Int(5),
+        },
+        Instr::If {
+            cond: CondOp::Eq,
+            lhs: Reg(1),
+            rhs: RegOrConst::Const(Value::Int(5)),
+            target: 3,
+        },
+        Instr::Throw {
+            msg: "branch not taken".into(),
+        },
+        Instr::Invoke {
+            method: MethodRef::new("T", "m"),
+            args: vec![Reg(1)],
+            dst: None,
+        },
+        Instr::Return { src: Some(Reg(1)) },
+    ];
+    let ret = vm.run_detached_fragment(&body, vec![]);
+    assert_eq!(ret, Ok(Some(RtValue::Int(5))));
+    let t = vm.telemetry();
+    assert_eq!(t.method_calls.get(&MethodRef::new("T", "m")), Some(&1));
+    assert!(t
+        .eq_satisfied
+        .contains(&(MethodRef::new("<detached>", "fragment"), 1)));
+    let edges = vm.coverage_edges();
+    assert!(!edges.is_empty());
+    assert!(edges.iter().all(|&(unit, _, _)| unit == DETACHED_COV_UNIT));
 }

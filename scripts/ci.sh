@@ -16,6 +16,11 @@ run() {
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
 
+# The benchmark package is a workspace of its own that compiles against the
+# crates by path, so the builds above never see it: a crate API change that
+# breaks it would otherwise pass here and only fail at benchmark time.
+run cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # clippy/fmt are optional toolchain components; gate on availability so the
 # script works on minimal rust installs.
 if cargo clippy --version >/dev/null 2>&1; then

@@ -150,9 +150,10 @@ fn pirated_corpus() -> Vec<(String, ApkFile)> {
 /// bomb counters, responses and logs, so any change to charge order,
 /// fault placement or fused-op semantics moves a digest.
 ///
-/// These digests were recorded while the legacy tree-walking interpreter
-/// and the decoded engine both existed and agreed bit for bit on this
-/// corpus; they now pin that equivalence for the single decoded engine.
+/// The digests were recorded while a second, tree-walking interpreter still
+/// existed and agreed with the decoded engine bit for bit on this corpus;
+/// they keep pinning that behaviour now that the decoded engine is the
+/// only one.
 const SESSION_DIGESTS: [(&str, &str); 21] = [
     (
         "AndroFish/1",
@@ -245,26 +246,14 @@ fn pirated_sessions_match_golden_digests() {
     let mut actual = Vec::new();
     for (name, pirated) in pirated_corpus() {
         for session_seed in [1u64, 42, 7777] {
-            let run = |engine: VmEngine| {
-                let pkg = InstalledPackage::install(&pirated).expect("pirated install");
-                let mut rng = StdRng::seed_from_u64(session_seed);
-                let env = DeviceEnv::sample(&mut rng);
-                let opts = VmOptions {
-                    engine,
-                    ..VmOptions::default()
-                };
-                let mut vm = Vm::new(pkg, env, session_seed ^ 0xBEEF, opts);
-                let mut source = RandomEventSource;
-                run_session(&mut vm, &mut source, &mut rng, 40, 60);
-                (vm.statics_snapshot(), vm.clock_ms(), vm.into_telemetry())
-            };
-            let decoded = run(VmEngine::Decoded);
-            assert_eq!(
-                decoded,
-                run(VmEngine::Legacy),
-                "{name} seed {session_seed}: engines diverged"
-            );
-            actual.push((format!("{name}/{session_seed}"), debug_digest(&decoded)));
+            let pkg = InstalledPackage::install(&pirated).expect("pirated install");
+            let mut rng = StdRng::seed_from_u64(session_seed);
+            let env = DeviceEnv::sample(&mut rng);
+            let mut vm = Vm::boot(pkg, env, session_seed ^ 0xBEEF);
+            let mut source = RandomEventSource;
+            run_session(&mut vm, &mut source, &mut rng, 40, 60);
+            let session = (vm.statics_snapshot(), vm.clock_ms(), vm.into_telemetry());
+            actual.push((format!("{name}/{session_seed}"), debug_digest(&session)));
         }
     }
     assert_golden("pirated sessions", &SESSION_DIGESTS, &actual);
@@ -273,7 +262,9 @@ fn pirated_sessions_match_golden_digests() {
 /// Golden digests of the two attacks that run detached fragments
 /// (`Vm::run_detached_fragment`): the whole forced-execution report and
 /// every slice-execution outcome, faults included, per flagship app and
-/// protector, at fixed seeds.
+/// protector, at fixed seeds. Recorded while detached fragments still ran
+/// on the tree-walking interpreter, so they also pin that lowering them
+/// through the decoder changed nothing.
 const DETACHED_DIGESTS: [(&str, &str); 16] = [
     (
         "AndroFish/bombdroid",
