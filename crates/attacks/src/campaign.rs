@@ -26,7 +26,7 @@ use crate::corpus::{harvest_dictionary, havoc, seed_inputs, splice, Corpus, Fuzz
 use crate::coverage::CoverageMap;
 use crate::fuzz::count_outer_conditions;
 use bombdroid_apk::ApkFile;
-use bombdroid_core::{derive_seed, expect_all, run_indexed_windowed, FleetConfig, TaskCtx};
+use bombdroid_core::{derive_seed, expect_all, run_range_windowed, FleetConfig, TaskCtx};
 use bombdroid_dex::Value;
 use bombdroid_runtime::{DeviceEnv, InstalledPackage, Vm, VmOptions, VmSnapshot};
 use rand::Rng;
@@ -280,9 +280,9 @@ pub fn run(apk: &ApkFile, cfg: &GuidedConfig) -> GuidedReport {
         None => FleetConfig::from_env(cfg.seed),
     };
     let aggregator = bombdroid_obs::ShardAggregator::new(cfg.window);
-    let shard_results: Vec<ShardResult> = expect_all(run_indexed_windowed(
+    let shard_results: Vec<ShardResult> = expect_all(run_range_windowed(
         fleet,
-        cfg.shards,
+        0..cfg.shards,
         &aggregator,
         |ctx| {
             Ok::<_, std::convert::Infallible>(run_shard(

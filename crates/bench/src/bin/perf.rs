@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! perf [--fast] [--filter SUBSTR] [--out PATH]   # measure + write JSON
-//! perf --check PATH                              # validate an artifact
 //! perf --compare BASE CAND [--threshold PCT] [--filter SUBSTR]
 //!                                                # p50 delta table
 //! ```
@@ -16,7 +15,9 @@
 //! regressed past the threshold (default 10%); `--filter` restricts the
 //! comparison to benchmarks whose name contains the substring, which is
 //! how CI hard-gates the `vm/` family while keeping the rest advisory.
-//! See EXPERIMENTS.md § "Perf
+//! A measuring run validates its document before writing it, and
+//! `--compare` validates both inputs, so an invalid artifact fails
+//! whichever step touches it. See EXPERIMENTS.md § "Perf
 //! harness" for the schema and how to compare runs across PRs.
 
 use bombdroid_bench::perf::{
@@ -38,13 +39,6 @@ use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let Some(path) = args.get(i + 1) else {
-            eprintln!("usage: perf --check <path>");
-            std::process::exit(2);
-        };
-        return check(path);
-    }
     if let Some(i) = args.iter().position(|a| a == "--compare") {
         let (Some(base), Some(cand)) = (args.get(i + 1), args.get(i + 2)) else {
             eprintln!(
@@ -134,20 +128,6 @@ fn compare(base_path: &str, cand_path: &str, threshold_pct: f64, filter: Option<
             regressions.join(", ")
         );
         std::process::exit(1);
-    }
-}
-
-fn check(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("perf --check: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    match validate_bench_json(&text) {
-        Ok(n) => println!("perf --check: {path} OK ({n} benchmarks)"),
-        Err(e) => {
-            eprintln!("perf --check: {path} INVALID: {e}");
-            std::process::exit(1);
-        }
     }
 }
 

@@ -569,17 +569,12 @@ fn guided(b: &Budgets) {
         )
     );
     let json = ex::guided_json(ex::guided::GUIDED_APP, ex::PROTECT_BASE, &rows);
-    ex::validate_guided_json(&json).expect("guided experiment emitted an invalid artifact");
-    let dir = std::path::Path::new("target/repro_output");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("guided: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("guided_resilience.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("guided curves written to {}", path.display()),
-        Err(e) => eprintln!("guided: cannot write {}: {e}", path.display()),
-    }
+    write_artifact(
+        "guided",
+        "guided_resilience.json",
+        &json,
+        ex::validate_guided_json,
+    );
 }
 
 fn population(b: &Budgets) {
@@ -639,17 +634,12 @@ fn population(b: &Budgets) {
         &rows,
         &resume,
     );
-    ex::validate_population_json(&json).expect("population experiment emitted an invalid artifact");
-    let dir = std::path::Path::new("target/repro_output");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("population: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("population.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("population sweep written to {}", path.display()),
-        Err(e) => eprintln!("population: cannot write {}: {e}", path.display()),
-    }
+    write_artifact(
+        "population",
+        "population.json",
+        &json,
+        ex::validate_population_json,
+    );
 }
 
 fn service(b: &Budgets) {
@@ -695,16 +685,33 @@ fn service(b: &Budgets) {
         }
     );
     let json = ex::service_json(&r);
-    ex::validate_service_json(&json).expect("service experiment emitted an invalid artifact");
+    write_artifact("service", "service.json", &json, ex::validate_service_json);
+}
+
+/// Validates `json` and writes it to `target/repro_output/<file>`. The
+/// artifact's validator is its only gate, so a document that fails it, or
+/// a write that fails, ends the run with exit status 1.
+fn write_artifact(
+    experiment: &str,
+    file: &str,
+    json: &str,
+    validate: fn(&str) -> Result<(), String>,
+) {
     let dir = std::path::Path::new("target/repro_output");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("service: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("service.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("service smoke written to {}", path.display()),
-        Err(e) => eprintln!("service: cannot write {}: {e}", path.display()),
+    let path = dir.join(file);
+    let written = validate(json)
+        .map_err(|e| format!("refusing to write an invalid {file}: {e}"))
+        .and_then(|()| {
+            std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(&path, json))
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))
+        });
+    match written {
+        Ok(()) => eprintln!("{experiment}: wrote {}", path.display()),
+        Err(msg) => {
+            eprintln!("{experiment}: {msg}");
+            std::process::exit(1);
+        }
     }
 }
 

@@ -7,10 +7,12 @@
 //! flagship under the shared [`PROTECT_BASE`] seed, producing a
 //! bombs-found-vs-exec-budget curve per config. The curves are exported as
 //! a schema-versioned JSON artifact (`guided_resilience.json`) that
-//! `guided_check` validates in CI: the control curve must reach at least
-//! one bomb, and every reported bomb must have replay-validated.
+//! [`validate_guided_json`] checks before `repro guided` writes it: the
+//! control curve must reach at least one bomb, and every reported bomb
+//! must have replay-validated.
 
 use super::harness::{shared_cache, PROTECT_BASE};
+use super::req_int;
 use bombdroid_attacks::{fuzz, GuidedConfig};
 use bombdroid_core::ProtectConfig;
 use bombdroid_corpus::flagship;
@@ -97,34 +99,21 @@ pub fn guided_curves(campaign: &GuidedConfig, base: &ProtectConfig) -> Vec<Guide
         .collect()
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the curves as the `guided_resilience.json` artifact.
 pub fn guided_json(app: &str, seed: u64, rows: &[GuidedCurveRow]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema_version\": {GUIDED_SCHEMA_VERSION},\n"));
     out.push_str("  \"kind\": \"guided_resilience_curve\",\n");
-    out.push_str(&format!("  \"app\": \"{}\",\n", esc(app)));
+    out.push_str(&format!("  \"app\": \"{}\",\n", json::escape(app)));
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str("  \"configs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", esc(&r.config)));
+        out.push_str(&format!(
+            "      \"name\": \"{}\",\n",
+            json::escape(&r.config)
+        ));
         out.push_str(&format!("      \"total_bombs\": {},\n", r.total_bombs));
         out.push_str(&format!("      \"total_outer\": {},\n", r.total_outer));
         out.push_str(&format!("      \"found\": {},\n", r.found));
@@ -146,16 +135,13 @@ pub fn guided_json(app: &str, seed: u64, rows: &[GuidedCurveRow]) -> String {
     out
 }
 
-fn req_int(obj: &JsonValue, key: &str, ctx: &str) -> Result<i128, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_int)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer {key:?}"))
-}
-
 /// Validates a `guided_resilience.json` document: schema version, field
-/// shapes, count consistency (`validated <= found <= total_bombs`), and
-/// per-config curve sanity (strictly increasing exec axis, monotone
-/// nondecreasing bomb counts, final point equal to `found`).
+/// shapes, count consistency (every reported bomb replay-validated,
+/// `validated == found <= total_bombs`), per-config curve sanity (strictly
+/// increasing exec axis, monotone nondecreasing bomb counts, final point
+/// equal to `found`), and a `control` config — single trigger, no bogus
+/// bombs — that found at least one bomb. `repro guided` refuses to write
+/// an artifact that fails here.
 pub fn validate_guided_json(text: &str) -> Result<(), String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
     let version = req_int(&doc, "schema_version", "document")?;
@@ -183,6 +169,7 @@ pub fn validate_guided_json(text: &str) -> Result<(), String> {
     if configs.is_empty() {
         return Err("\"configs\" must not be empty".to_string());
     }
+    let mut control_found = None;
     for c in configs {
         let name = c
             .get("name")
@@ -194,10 +181,18 @@ pub fn validate_guided_json(text: &str) -> Result<(), String> {
         let validated = req_int(c, "validated", &ctx)?;
         let execs = req_int(c, "execs", &ctx)?;
         req_int(c, "total_outer", &ctx)?;
-        if !(0..=found).contains(&validated) || found > total_bombs {
+        if validated != found {
             return Err(format!(
-                "{ctx}: counts inconsistent (validated {validated} <= found {found} <= total_bombs {total_bombs} violated)"
+                "{ctx}: reported {found} bombs but {validated} replay-validated"
             ));
+        }
+        if !(0..=total_bombs).contains(&found) {
+            return Err(format!(
+                "{ctx}: found {found} outside 0..={total_bombs} (total_bombs)"
+            ));
+        }
+        if name == "control" {
+            control_found = Some(found);
         }
         let curve = c
             .get("curve")
@@ -230,7 +225,13 @@ pub fn validate_guided_json(text: &str) -> Result<(), String> {
             ));
         }
     }
-    Ok(())
+    match control_found {
+        Some(n) if n >= 1 => Ok(()),
+        Some(n) => Err(format!(
+            "control config found {n} bombs — a working guided fuzzer must crack the unprotected control app"
+        )),
+        None => Err("no \"control\" config".to_string()),
+    }
 }
 
 #[cfg(test)]
@@ -270,6 +271,21 @@ mod tests {
         let mut short_curve = rows();
         short_curve[0].curve = vec![(120, 2)]; // never reaches `execs`
         let text = guided_json("HashDroid", 1, &short_curve);
+        assert!(validate_guided_json(&text).is_err());
+        let mut control_found_none = rows();
+        control_found_none[0].found = 0;
+        control_found_none[0].validated = 0;
+        control_found_none[0].curve = vec![(120, 0), (240, 0)];
+        let text = guided_json("HashDroid", 1, &control_found_none);
+        assert!(validate_guided_json(&text).is_err());
+        let mut unvalidated = rows();
+        unvalidated[0].found = 3; // validated stays 2
+        unvalidated[0].curve = vec![(120, 1), (240, 3)];
+        let text = guided_json("HashDroid", 1, &unvalidated);
+        assert!(validate_guided_json(&text).is_err());
+        let mut no_control = rows();
+        no_control[0].config = "default".to_string();
+        let text = guided_json("HashDroid", 1, &no_control);
         assert!(validate_guided_json(&text).is_err());
     }
 

@@ -149,7 +149,6 @@ impl ProtectedAppCache {
             seed,
             config: format!("{config:?}"),
         };
-        obs::counter_add("cache.requests", 1);
         // Per-key slot: the outer map lock is held only for the lookup, so
         // distinct apps protect concurrently while a second request for the
         // same key blocks until the first finishes and then reuses it.
@@ -160,10 +159,7 @@ impl ProtectedAppCache {
         }
         let (dev, _) = fixed_keys();
         let apk = app.apk(&dev);
-        let (protected, hit) = self.core.get_or_protect(&apk, config, seed)?;
-        if !hit {
-            obs::counter_add("cache.protects", 1);
-        }
+        let (protected, _) = self.core.get_or_protect(&apk, config, seed)?;
         let signed = protected.package(&dev);
         let artifact = Arc::new(((*protected).clone(), signed));
         *guard = Some(artifact.clone());

@@ -14,6 +14,8 @@
 //! [`harness::PROTECT_BASE`]`+ i` seed, so a full `repro all` run protects
 //! each `(app, config)` pair exactly once instead of once per experiment.
 
+use bombdroid_obs::json::JsonValue;
+
 pub mod ablation;
 pub mod analysts;
 pub mod brute;
@@ -63,3 +65,10 @@ pub use table2::{table2, table2_with, Table2Row};
 pub use table3::{table3, table3_with, Table3Row};
 pub use table4::{table4, table4_with, Table4Row};
 pub use table5::{table5, table5_with, Table5Row};
+
+/// The integer at `obj[key]`, or an artifact-validation error naming `ctx`.
+fn req_int(obj: &JsonValue, key: &str, ctx: &str) -> Result<i128, String> {
+    obj.get(key)
+        .and_then(JsonValue::as_int)
+        .ok_or_else(|| format!("{ctx}: missing or non-integer {key:?}"))
+}

@@ -14,9 +14,11 @@
 //!   the uninterrupted run's report byte-for-byte.
 //!
 //! Results are exported as the schema-versioned `population.json`
-//! artifact, validated by the `population_check` bin in CI.
+//! artifact, which [`validate_population_json`] checks before
+//! `repro population` writes it.
 
 use super::harness::{shared_cache, PROTECT_BASE};
+use super::req_int;
 use bombdroid_apk::{repackage, DeveloperKey};
 use bombdroid_core::ProtectConfig;
 use bombdroid_corpus::flagship;
@@ -252,7 +254,7 @@ pub fn population_json(
         "  \"schema_version\": {POPULATION_SCHEMA_VERSION},\n"
     ));
     out.push_str("  \"kind\": \"population_validation\",\n");
-    out.push_str(&format!("  \"app\": \"{}\",\n", esc(app)));
+    out.push_str(&format!("  \"app\": \"{}\",\n", json::escape(app)));
     out.push_str(&format!("  \"days\": {days},\n"));
     out.push_str("  \"scales\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -314,31 +316,13 @@ pub fn population_json(
     out
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn req_int(obj: &JsonValue, key: &str, ctx: &str) -> Result<i128, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_int)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer {key:?}"))
-}
-
 /// How many outer-trigger observations a bomb needs before its measured
 /// rate is held against the prediction.
 const MIN_OUTER_SESSIONS: i128 = 200;
+
+/// Outer-trigger sessions, summed over bombs, the largest scale must
+/// observe for the band checks to have teeth.
+const MIN_LARGEST_SCALE_OUTER: i128 = 100;
 
 /// Fixed slack (ppm) added on top of the 3σ binomial band.
 const SLACK_PPM: f64 = 25_000.0;
@@ -346,8 +330,10 @@ const SLACK_PPM: f64 = 25_000.0;
 /// Validates a `population.json` document: schema, scale ordering,
 /// per-bomb closed-form agreement (3σ + slack for sufficiently observed
 /// bombs), weighted mean inside the paper's p ∈ [0.1, 0.2] band (with
-/// slack), CDF validity, bounded live-metric memory, and a successful
-/// bit-identical resume cycle.
+/// slack), CDF validity, bounded live-metric memory, at least 100
+/// outer-trigger sessions at the largest scale, and a successful
+/// bit-identical resume cycle. `repro population` refuses to write an
+/// artifact that fails here.
 pub fn validate_population_json(text: &str) -> Result<(), String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
     let version = req_int(&doc, "schema_version", "document")?;
@@ -376,6 +362,7 @@ pub fn validate_population_json(text: &str) -> Result<(), String> {
         return Err("\"scales\" must not be empty".to_string());
     }
     let mut prev_devices = 0i128;
+    let mut outer_total = 0i128;
     for s in scales {
         let devices = req_int(s, "devices", "scale")?;
         let ctx = format!("scale {devices}");
@@ -404,6 +391,7 @@ pub fn validate_population_json(text: &str) -> Result<(), String> {
         if bombs.is_empty() {
             return Err(format!("{ctx}: no bombs observed"));
         }
+        outer_total = 0;
         for b in bombs {
             let marker = req_int(b, "marker", &ctx)?;
             let bctx = format!("{ctx} bomb {marker}");
@@ -414,6 +402,7 @@ pub fn validate_population_json(text: &str) -> Result<(), String> {
             if fired > outer {
                 return Err(format!("{bctx}: fired {fired} exceeds outer {outer}"));
             }
+            outer_total += outer;
             if outer >= MIN_OUTER_SESSIONS {
                 let p = predicted as f64 / 1e6;
                 let sigma_ppm = (p * (1.0 - p) / outer as f64).sqrt() * 1e6;
@@ -447,6 +436,14 @@ pub fn validate_population_json(text: &str) -> Result<(), String> {
         if !cdf.is_empty() && prev != 0 && prev != 1_000_000 {
             return Err(format!("{ctx}: latency CDF ends at {prev}, not 1.0"));
         }
+    }
+    // Without enough outer-trigger observations at the largest scale the
+    // 3σ bands are vacuous: a VM that never decrypts a blob would pass.
+    if outer_total < MIN_LARGEST_SCALE_OUTER {
+        return Err(format!(
+            "largest scale ({prev_devices} devices) saw only {outer_total} \
+             outer-trigger sessions — bomb triggering looks broken"
+        ));
     }
     let resume = doc.get("resume").ok_or("missing \"resume\" object")?;
     req_int(resume, "devices", "resume")?;
@@ -528,6 +525,12 @@ mod tests {
         let mut broken_resume = resume_ok.clone();
         broken_resume.identical = false;
         let text = population_json(POPULATION_APP, 14, &rows_ok, &broken_resume);
+        assert!(validate_population_json(&text).is_err());
+
+        let mut starved = rows_ok.clone();
+        starved[0].bombs[0].outer_sessions = 99; // largest scale's outer total
+        starved[0].bombs[0].fired_sessions = 15;
+        let text = population_json(POPULATION_APP, 14, &starved, &resume_ok);
         assert!(validate_population_json(&text).is_err());
     }
 

@@ -1,7 +1,8 @@
 //! Protect-as-a-service smoke: drives `bombdroid_core::service` end to
 //! end with a fixed-seed job mix (duplicates included), exercises
 //! admission control, and exports the schema-versioned `service.json`
-//! artifact that `service_check` validates in CI.
+//! artifact, which [`validate_service_json`] checks before `repro service`
+//! writes it.
 //!
 //! Everything in the artifact is deterministic: job outcomes depend only
 //! on `(app bytes, config, effective seed)`, the drain returns results in
@@ -10,6 +11,7 @@
 //! bit-identical bytes.
 
 use super::harness::{flagships, PROTECT_BASE};
+use super::req_int;
 use crate::fixed_keys;
 use bombdroid_core::service::{ProtectJob, ProtectService, ProtectionCache, SeedPolicy};
 use bombdroid_core::{FleetConfig, ProtectConfig};
@@ -147,7 +149,7 @@ pub fn service_json(r: &ServiceSmokeResult) -> String {
         out.push_str(&format!(
             "    {{\"index\": {}, \"app\": \"{}\", \"seed\": {}, \"cache_hit\": {}, \"dex_digest\": \"{}\", \"verified\": {}, \"bombs\": {}}}{}\n",
             row.index,
-            row.app,
+            json::escape(&row.app),
             row.seed,
             row.cache_hit,
             row.dex_digest,
@@ -159,12 +161,6 @@ pub fn service_json(r: &ServiceSmokeResult) -> String {
     out.push_str("  ]\n");
     out.push_str("}\n");
     out
-}
-
-fn req_int(obj: &JsonValue, key: &str, ctx: &str) -> Result<i128, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_int)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer {key:?}"))
 }
 
 fn req_bool(obj: &JsonValue, key: &str, ctx: &str) -> Result<bool, String> {
@@ -262,6 +258,30 @@ mod tests {
         assert_eq!(r.shed, 1, "overflow probe shed exactly once");
         let text = service_json(&r);
         validate_service_json(&text).expect("self-produced artifact validates");
+    }
+
+    #[test]
+    fn app_names_are_escaped() {
+        let app = "Say \"hi\" \\ bye";
+        let r = ServiceSmokeResult {
+            threads: 1,
+            rows: vec![ServiceJobRow {
+                index: 0,
+                app: app.to_string(),
+                seed: 1,
+                cache_hit: false,
+                dex_digest: "00".to_string(),
+                verified: true,
+                bombs: 1,
+            }],
+            protects: 1,
+            hits: 0,
+            shed: 1,
+            serial_identical: true,
+        };
+        let doc = json::parse(&service_json(&r)).expect("artifact parses");
+        let jobs = doc.get("jobs").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(jobs[0].get("app").and_then(JsonValue::as_str), Some(app));
     }
 
     #[test]

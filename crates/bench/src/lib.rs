@@ -3,7 +3,7 @@
 //!
 //! Each experiment is a pure function returning structured rows, consumed
 //! by the `repro` binary (which prints paper-style tables) and by the
-//! Criterion benches. Experiments take explicit budgets so tests can run
+//! `perf` harness. Experiments take explicit budgets so tests can run
 //! scaled-down versions of the same code paths the full reproduction uses.
 //!
 //! | Function | Paper artefact |

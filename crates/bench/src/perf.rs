@@ -1,10 +1,9 @@
 //! The `perf` harness: repeatable hot-path measurements with a
 //! machine-readable artifact.
 //!
-//! Unlike the Criterion-style benches under `benches/` (interactive,
-//! print-only), this module produces a structured [`BenchResult`] per
-//! benchmark and serializes the whole run as `BENCH_pipeline.json` so
-//! perf numbers accumulate across PRs and regressions are diffable:
+//! This module produces a structured [`BenchResult`] per benchmark and
+//! serializes the whole run as `BENCH_pipeline.json` so perf numbers
+//! accumulate across PRs and regressions are diffable:
 //!
 //! ```json
 //! {
@@ -143,28 +142,12 @@ pub fn run_bench<F: FnMut()>(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes a perf run as the `BENCH_pipeline.json` document.
 pub fn to_json(mode: &str, results: &[BenchResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema_version\": {BENCH_SCHEMA_VERSION},\n"));
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape(mode)));
+    out.push_str(&format!("  \"mode\": \"{}\",\n", json::escape(mode)));
     out.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         let bps = match r.bytes_per_s() {
@@ -173,7 +156,7 @@ pub fn to_json(mode: &str, results: &[BenchResult]) -> String {
         };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"iters\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"mean_ns\": {}, \"bytes_per_s\": {}}}{}\n",
-            json_escape(&r.name),
+            json::escape(&r.name),
             r.iters,
             r.p50_ns,
             r.p95_ns,

@@ -99,8 +99,8 @@ fn merged_metrics_identical_across_thread_counts() {
     // Warm the process-wide protection cache first so every measured run
     // sees identical cache state (all hits). Without this the first run
     // would additionally record the protection pipeline's own counters
-    // (cache.protects, pipeline.*, profile.*) and the comparison would
-    // measure cache population order, not fleet determinism.
+    // (service.cache.protects, pipeline.*, profile.*) and the comparison
+    // would measure cache population order, not fleet determinism.
     ex::table3_with(fleet(1), config.clone(), 3, 30);
     ex::fig5_with(fleet(1), config.clone(), 5);
     let run = |threads| {

@@ -3,18 +3,19 @@
 //! the pool never deadlocks or aborts, and every other task still
 //! completes with its result in index order.
 
-use bombdroid_core::{derive_seed, run_fleet, run_indexed, FleetConfig, FleetError};
+use bombdroid_core::{derive_seed, run_fleet, FleetConfig, FleetError};
 
 #[test]
 fn panicking_task_is_isolated_and_typed() {
     for threads in [1usize, 2, 8] {
         let config = FleetConfig::serial(0xFA17).with_threads(threads);
-        let results: Vec<Result<u64, FleetError<String>>> = run_indexed(config, 16, |ctx| {
-            if ctx.index == 5 {
-                panic!("task 5 exploded on purpose");
-            }
-            Ok(ctx.seed)
-        });
+        let results: Vec<Result<u64, FleetError<String>>> =
+            run_fleet(config, vec![(); 16], |ctx, ()| {
+                if ctx.index == 5 {
+                    panic!("task 5 exploded on purpose");
+                }
+                Ok(ctx.seed)
+            });
         assert_eq!(results.len(), 16, "every slot filled ({threads} threads)");
         for (i, r) in results.iter().enumerate() {
             if i == 5 {
@@ -66,12 +67,13 @@ fn many_panics_do_not_deadlock_the_pool() {
     // slot lock, later tasks would hang or be lost. All 64 slots must
     // resolve either way.
     let config = FleetConfig::serial(2).with_threads(4);
-    let results: Vec<Result<usize, FleetError<String>>> = run_indexed(config, 64, |ctx| {
-        if ctx.index % 2 == 0 {
-            panic!("even task {}", ctx.index);
-        }
-        Ok(ctx.index)
-    });
+    let results: Vec<Result<usize, FleetError<String>>> =
+        run_fleet(config, vec![(); 64], |ctx, ()| {
+            if ctx.index % 2 == 0 {
+                panic!("even task {}", ctx.index);
+            }
+            Ok(ctx.index)
+        });
     assert_eq!(results.len(), 64);
     let (ok, panicked): (Vec<_>, Vec<_>) = results.iter().partition(|r| r.is_ok());
     assert_eq!(ok.len(), 32);
@@ -87,7 +89,7 @@ fn panic_payload_kinds_are_reported() {
     // degrade to a stable placeholder instead of garbage.
     let config = FleetConfig::serial(3).with_threads(2);
     let results: Vec<Result<(), FleetError<String>>> =
-        run_indexed(config, 3, |ctx| match ctx.index {
+        run_fleet(config, vec![(); 3], |ctx, ()| match ctx.index {
             0 => panic!("plain &str payload"),
             1 => panic!("{}", format!("formatted String payload {}", ctx.index)),
             _ => std::panic::panic_any(42i32),

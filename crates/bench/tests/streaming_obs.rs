@@ -9,7 +9,7 @@
 //! 3. The flight recorder honors its capacity bound and its panic-hook
 //!    dump is a valid `flight.json`.
 
-use bombdroid_core::{run_indexed_windowed, FleetConfig};
+use bombdroid_core::{run_range_windowed, FleetConfig};
 use bombdroid_obs as obs;
 use bombdroid_runtime::{
     run_session, DeviceEnv, InstalledPackage, SessionPool, UserEventSource, VmOptions,
@@ -29,7 +29,7 @@ fn fixture_pool() -> SessionPool {
 fn drive_fleet(pool: &SessionPool, threads: usize, window: usize) -> String {
     let agg = obs::ShardAggregator::new(window);
     let fleet = FleetConfig::serial(0x57AEA).with_threads(threads);
-    let out = run_indexed_windowed(fleet, 24, &agg, |ctx| {
+    let out = run_range_windowed(fleet, 0..24, &agg, |ctx| {
         let mut urng = ctx.rng();
         let env = DeviceEnv::sample(&mut urng);
         let mut vm = pool.session(env, ctx.seed);

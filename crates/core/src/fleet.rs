@@ -29,7 +29,7 @@
 //! `fleet.task_panics` counters plus `fleet.queue_wait` and
 //! `fleet.task_run` timings. Per-task recorders are allocated at claim
 //! time and folded **streamingly, in task-index order**, into the fleet
-//! caller's recorder (or, via [`run_fleet_windowed`], into an
+//! caller's recorder (or, via [`run_range_windowed`], into an
 //! [`obs::ShardAggregator`]): a completed task whose index is not yet
 //! next parks its recorder in a reorder buffer until the gap closes, so
 //! live recorder memory is O(workers + reorder depth), not O(tasks).
@@ -214,7 +214,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 enum FoldSink<'a> {
     /// Merge straight into the fleet caller's recorder ([`run_fleet`]).
     Parent(Arc<obs::Recorder>),
-    /// Absorb into a windowed aggregator ([`run_fleet_windowed`]).
+    /// Absorb into a windowed aggregator ([`run_range_windowed`]).
     Windowed(&'a obs::ShardAggregator),
 }
 
@@ -278,36 +278,22 @@ where
     run_fleet_inner(config, tasks, sink, 0, f)
 }
 
-/// [`run_fleet`] with per-task metrics folded into `aggregator` instead of
-/// the caller's recorder — the streaming shape for fleet-scale runs. The
-/// aggregator seals a [`obs::WindowSummary`] every N tasks (its window
-/// size) and keeps a running total, so live metric memory stays
-/// O(windows), not O(tasks); repeated calls (e.g. one per simulated day)
-/// keep absorbing into the same aggregator in order. The aggregator's
-/// total is bit-identical to what [`run_fleet`] would have merged into the
-/// caller's recorder for the same tasks.
-pub fn run_fleet_windowed<T, R, E, F>(
-    config: FleetConfig,
-    tasks: Vec<T>,
-    aggregator: &obs::ShardAggregator,
-    f: F,
-) -> Vec<Result<R, FleetError<E>>>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    F: Fn(TaskCtx, T) -> Result<R, E> + Sync,
-{
-    run_fleet_inner(config, tasks, FoldSink::Windowed(aggregator), 0, f)
-}
-
-/// [`run_fleet_windowed`] over an arbitrary global index range: task `i` of
-/// `range` sees `TaskCtx { index: i, seed: derive_seed(base_seed, i) }` —
-/// the same context it would see inside a single `0..n` run. This is the
-/// resumable-shard shape: a caller that processes `0..k`, checkpoints, and
-/// later continues with `k..n` produces bit-identical per-task results and
-/// aggregator content to one uninterrupted `0..n` run, because nothing
-/// about a task depends on where its chunk started.
+/// [`run_fleet`] over the index-only tasks of a global index range, with
+/// per-task metrics folded into `aggregator` instead of the caller's
+/// recorder — the streaming shape for fleet-scale runs. The aggregator
+/// seals a [`obs::WindowSummary`] every N tasks (its window size) and keeps
+/// a running total, so live metric memory stays O(windows), not O(tasks);
+/// repeated calls (e.g. one per simulated day) keep absorbing into the
+/// same aggregator in order. The aggregator's total is bit-identical to
+/// what [`run_fleet`] would have merged into the caller's recorder for the
+/// same tasks.
+///
+/// Task `i` of `range` sees `TaskCtx { index: i, seed: derive_seed(base_seed,
+/// i) }` — the same context it would see inside a single `0..n` run. This
+/// is the resumable-shard shape: a caller that processes `0..k`,
+/// checkpoints, and later continues with `k..n` produces bit-identical
+/// per-task results and aggregator content to one uninterrupted `0..n`
+/// run, because nothing about a task depends on where its chunk started.
 pub fn run_range_windowed<R, E, F>(
     config: FleetConfig,
     range: std::ops::Range<usize>,
@@ -506,41 +492,6 @@ where
         .collect()
 }
 
-/// [`run_fleet`] over `0..count` index-only tasks — the common "N seeded
-/// repetitions" shape.
-pub fn run_indexed<R, E, F>(
-    config: FleetConfig,
-    count: usize,
-    f: F,
-) -> Vec<Result<R, FleetError<E>>>
-where
-    R: Send,
-    E: Send,
-    F: Fn(TaskCtx) -> Result<R, E> + Sync,
-{
-    run_fleet(config, (0..count).collect(), |ctx, _i: usize| f(ctx))
-}
-
-/// [`run_fleet_windowed`] over `0..count` index-only tasks.
-pub fn run_indexed_windowed<R, E, F>(
-    config: FleetConfig,
-    count: usize,
-    aggregator: &obs::ShardAggregator,
-    f: F,
-) -> Vec<Result<R, FleetError<E>>>
-where
-    R: Send,
-    E: Send,
-    F: Fn(TaskCtx) -> Result<R, E> + Sync,
-{
-    run_fleet_windowed(
-        config,
-        (0..count).collect(),
-        aggregator,
-        |ctx, _i: usize| f(ctx),
-    )
-}
-
 /// Unwraps a fleet's results, panicking with the index and error of the
 /// first failed task. For harness code where any task failure is fatal.
 pub fn expect_all<R, E: fmt::Display>(results: Vec<Result<R, FleetError<E>>>) -> Vec<R> {
@@ -562,7 +513,7 @@ mod tests {
     #[test]
     fn results_are_in_task_order() {
         let cfg = FleetConfig::serial(7).with_threads(4);
-        let out = expect_all(run_indexed(cfg, 64, |ctx| {
+        let out = expect_all(run_fleet(cfg, vec![(); 64], |ctx, ()| {
             Ok::<_, std::convert::Infallible>(ctx.index * 2)
         }));
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
@@ -576,17 +527,14 @@ mod tests {
                 (0..32).fold(0u64, |acc, _| acc.wrapping_add(rng.gen::<u64>())),
             )
         };
-        let one = expect_all(run_indexed(FleetConfig::serial(0xF1EE7), 40, draw));
-        let two = expect_all(run_indexed(
-            FleetConfig::serial(0xF1EE7).with_threads(2),
-            40,
-            draw,
-        ));
-        let eight = expect_all(run_indexed(
-            FleetConfig::serial(0xF1EE7).with_threads(8),
-            40,
-            draw,
-        ));
+        let run = |threads| {
+            expect_all(run_fleet(
+                FleetConfig::serial(0xF1EE7).with_threads(threads),
+                vec![(); 40],
+                |ctx, ()| draw(ctx),
+            ))
+        };
+        let (one, two, eight) = (run(1), run(2), run(8));
         assert_eq!(one, two);
         assert_eq!(one, eight);
     }
@@ -601,7 +549,7 @@ mod tests {
     #[test]
     fn task_errors_and_panics_fill_their_slots() {
         let cfg = FleetConfig::serial(1).with_threads(3);
-        let out = run_indexed::<u32, String, _>(cfg, 6, |ctx| match ctx.index {
+        let out = run_fleet::<_, u32, String, _>(cfg, vec![(); 6], |ctx, ()| match ctx.index {
             2 => Err("typed failure".to_string()),
             4 => panic!("task 4 exploded"),
             i => Ok(i as u32),
@@ -621,14 +569,12 @@ mod tests {
         }
         let rec = Arc::new(obs::Recorder::new());
         obs::with_recorder(rec.clone(), || {
-            let out =
-                run_indexed::<u32, String, _>(FleetConfig::serial(1).with_threads(3), 6, |ctx| {
-                    match ctx.index {
-                        2 => Err("typed failure".to_string()),
-                        4 => panic!("metrics task exploded"),
-                        i => Ok(i as u32),
-                    }
-                });
+            let cfg = FleetConfig::serial(1).with_threads(3);
+            let out = run_fleet::<_, u32, String, _>(cfg, vec![(); 6], |ctx, ()| match ctx.index {
+                2 => Err("typed failure".to_string()),
+                4 => panic!("metrics task exploded"),
+                i => Ok(i as u32),
+            });
             assert_eq!(out.len(), 6);
         });
         assert_eq!(rec.counter_value("fleet.tasks"), 6);
@@ -654,10 +600,10 @@ mod tests {
         // Legacy shape: everything merges into the caller's recorder.
         let direct = Arc::new(obs::Recorder::new());
         obs::with_recorder(direct.clone(), || {
-            expect_all(run_indexed(
+            expect_all(run_fleet(
                 FleetConfig::serial(42).with_threads(3),
-                20,
-                work,
+                vec![(); 20],
+                |ctx, ()| work(ctx),
             ));
         });
 
@@ -665,9 +611,9 @@ mod tests {
         let agg = obs::ShardAggregator::new(8);
         let caller = Arc::new(obs::Recorder::new());
         obs::with_recorder(caller.clone(), || {
-            expect_all(run_indexed_windowed(
+            expect_all(run_range_windowed(
                 FleetConfig::serial(42).with_threads(3),
-                20,
+                0..20,
                 &agg,
                 work,
             ));

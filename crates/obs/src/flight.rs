@@ -26,7 +26,7 @@
 //! }
 //! ```
 
-use crate::recorder::escape_json;
+use crate::json;
 use std::collections::VecDeque;
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
@@ -156,8 +156,8 @@ pub fn to_json() -> String {
             "\n    {{\"seq\": {}, \"at_ns\": {}, \"kind\": \"{}\", \"detail\": \"{}\"}}",
             ev.seq,
             ev.at_ns,
-            escape_json(ev.kind),
-            escape_json(&ev.detail)
+            json::escape(ev.kind),
+            json::escape(&ev.detail)
         ));
     }
     if !ring.events.is_empty() {

@@ -1,4 +1,5 @@
-//! A minimal JSON reader for the crate's own artifacts.
+//! A minimal JSON reader for the crate's own artifacts, plus the one
+//! string escaper every artifact writer in the workspace uses.
 //!
 //! The workspace is offline (no `serde`), but the CI schema check and the
 //! determinism tests need to *read* `metrics.json`, not just write it.
@@ -88,6 +89,23 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\` get a
+/// backslash, a newline becomes `\n`, and every other control character
+/// becomes `\u00XX`.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses
 /// once per level, so hostile input (a checkpoint or reference file full of
@@ -354,6 +372,17 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn escape_output_is_pinned_and_parses_back() {
+        let raw = "q\"b\\n\nt\tr\r\u{1}é";
+        let escaped = escape(raw);
+        assert_eq!(escaped, r#"q\"b\\n\nt\u0009r\u000d\u0001é"#);
+        assert_eq!(
+            parse(&format!("\"{escaped}\"")).unwrap(),
+            JsonValue::Str(raw.to_string())
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! two recorders with the same content serialize identically.
 
 use crate::hist::{bucket_floor, bucket_index, Histogram, BUCKETS};
+use crate::json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -341,7 +342,7 @@ impl Recorder {
             let (name, c) = &counters[i];
             out.push_str(&format!(
                 "\"{}\": {}",
-                escape_json(name),
+                json::escape(name),
                 c.load(Ordering::Relaxed)
             ));
         });
@@ -353,7 +354,7 @@ impl Recorder {
             let (name, g) = &gauges[i];
             out.push_str(&format!(
                 "\"{}\": {}",
-                escape_json(name),
+                json::escape(name),
                 g.load(Ordering::Relaxed)
             ));
         });
@@ -370,7 +371,7 @@ impl Recorder {
                 .collect();
             out.push_str(&format!(
                 "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [{}]}}",
-                escape_json(name),
+                json::escape(name),
                 h.count(),
                 h.sum(),
                 h.min(),
@@ -387,7 +388,7 @@ impl Recorder {
             if include_timings {
                 out.push_str(&format!(
                     "\"{}\": {{\"calls\": {}, \"total_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}}}",
-                    escape_json(name),
+                    json::escape(name),
                     t.calls(),
                     t.total_ns(),
                     t.percentile_ns(50.0),
@@ -396,7 +397,7 @@ impl Recorder {
             } else {
                 out.push_str(&format!(
                     "\"{}\": {{\"calls\": {}}}",
-                    escape_json(name),
+                    json::escape(name),
                     t.calls()
                 ));
             }
@@ -470,18 +471,6 @@ fn push_entries(out: &mut String, n: usize, mut write: impl FnMut(&mut String, u
     if n > 0 {
         out.push_str("\n  ");
     }
-}
-
-pub(crate) fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Formats nanoseconds with a human unit (ns/µs/ms/s).

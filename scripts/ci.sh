@@ -44,7 +44,7 @@ run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
 run cargo run -q --release --offline -p bombdroid-bench --bin metrics_check -- \
     target/repro_output/metrics.json \
     --flight target/repro_output/flight.json \
-    fleet.tasks vm.instr_executed pipeline.apps_protected cache.requests
+    fleet.tasks vm.instr_executed pipeline.apps_protected service.cache.requests
 
 # Metrics drift, advisory: diff the fresh artifact against the committed
 # reference (scripts/metrics_reference.json, produced by the exact command
@@ -62,50 +62,48 @@ else
 fi
 
 # Guided-fuzzer smoke: a fixed-seed fast campaign (4 shards × 60 execs,
-# seed PROTECT_BASE) must find at least one bomb on the single-trigger
-# no-bogus control app, replay-validate every reported bomb, and emit a
-# guided_resilience.json artifact matching its schema. The curves are
-# bit-identical for any BOMBDROID_THREADS value (pinned by the attacks
-# determinism suite); guided_check fails CI if the fuzzer or the exporter
-# silently breaks.
+# seed PROTECT_BASE). repro validates guided_resilience.json before
+# writing it and exits 1 if it fails: schema and field shapes, every
+# reported bomb replay-validated (validated == found <= total_bombs), a
+# strictly increasing exec axis with monotone bomb counts ending at
+# `found`, and a single-trigger no-bogus `control` config that found at
+# least one bomb. The curves are bit-identical for any BOMBDROID_THREADS
+# value (pinned by the attacks determinism suite).
 run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
     cargo run -q --release --offline -p bombdroid-bench --bin repro -- --fast guided
-run cargo run -q --release --offline -p bombdroid-bench --bin guided_check -- \
-    target/repro_output/guided_resilience.json
 
 # Population-simulator smoke: a fast two-scale sweep (10^3 + 10^4 devices,
-# VM-backed sessions, seed PROTECT_BASE^0x509) must measure per-bomb
-# trigger rates within the closed-form tolerance bands, keep live metric
-# memory bounded independent of device count, survive one mid-run
-# kill + checkpoint + resume cycle with a byte-identical report, and emit
-# a population.json artifact matching its schema. Results are bit-identical
-# for any BOMBDROID_THREADS value; population_check fails CI if the
-# simulator, the checkpoint codec, or the exporter silently breaks.
+# VM-backed sessions, seed PROTECT_BASE^0x509). repro validates
+# population.json before writing it and exits 1 if it fails: strictly
+# increasing scales with every session run, per-bomb trigger rates within
+# the closed-form 3σ + slack bands, a weighted mean in the paper's band,
+# a monotone latency CDF, live metric memory bounded independent of
+# device count, at least 100 outer-trigger sessions at the largest scale,
+# and one mid-run kill + checkpoint + resume cycle with a byte-identical
+# report. Results are bit-identical for any BOMBDROID_THREADS value.
 run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
     cargo run -q --release --offline -p bombdroid-bench --bin repro -- --fast population
-run cargo run -q --release --offline -p bombdroid-bench --bin population_check -- \
-    target/repro_output/population.json
 
 # Protect-as-a-service smoke: a fixed-seed job mix (four flagships, each
 # submitted twice, plus one over-capacity probe) drained at two worker
-# threads must single-flight every duplicate through the content-addressed
-# cache, shed the overflow with a typed error, keep results in submission
-# order, verify every signed package, and reproduce the parallel bytes in
-# a serial control run. service_check fails CI if the cache, admission
-# control, or drain ordering silently breaks.
+# threads. repro validates service.json before writing it and exits 1 if
+# it fails: every signed package verified, results in submission order,
+# single-flight accounting (hits + protects == jobs, protects == distinct
+# artifacts), cache_hit set exactly on re-requests, the overflow probe
+# shed, and a serial control run bit-identical to the parallel drain.
 run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
     cargo run -q --release --offline -p bombdroid-bench --bin repro -- --fast service
-run cargo run -q --release --offline -p bombdroid-bench --bin service_check -- \
-    target/repro_output/service.json
 
-# Perf smoke: the hot-path harness must run end to end and emit a valid
-# BENCH_pipeline.json document. --fast numbers are not comparison-grade;
-# this validates the plumbing, not the performance.
+# Perf smoke: the hot-path harness must run end to end. perf validates
+# its BENCH_pipeline.json document before writing it (schema version,
+# mode, a non-empty list of uniquely named benches, positive iterations,
+# p50 <= p95) and fails otherwise; each --compare below validates both
+# inputs again. --fast
+# numbers are not comparison-grade; this validates the plumbing, not the
+# performance.
 run env BOMBDROID_OBS=off \
     cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
     --fast --out target/perf_smoke.json
-run cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
-    --check target/perf_smoke.json
 
 # Perf comparison against the committed full-mode baseline, in two tiers.
 #
