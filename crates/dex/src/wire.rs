@@ -183,6 +183,14 @@ impl<'a> Reader<'a> {
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+    /// Pre-allocation size for a decoded length prefix `n` whose elements
+    /// each take at least `min_elem_bytes` of input: a forged count sizes
+    /// the allocation by the input actually left, never past it. Only the
+    /// capacity is bounded; the decode loop still reads all `n` elements
+    /// and fails on truncation as usual.
+    fn capacity(&self, n: usize, min_elem_bytes: usize) -> usize {
+        n.min(self.remaining() / min_elem_bytes)
+    }
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
@@ -762,7 +770,7 @@ fn read_instr(r: &mut Reader) -> Result<Instr, WireError> {
             let src = r.reg()?;
             let n = r.len()?;
             // Each arm is an i64 case plus a u32 target: 12 bytes.
-            let mut arms = Vec::with_capacity(n.min(r.remaining() / 12));
+            let mut arms = Vec::with_capacity(r.capacity(n, 12));
             for _ in 0..n {
                 let v = r.i64()?;
                 let t = r.len()?;
@@ -871,7 +879,8 @@ fn read_method(r: &mut Reader) -> Result<Method, WireError> {
     let params = r.u16()?;
     let registers = r.u16()?;
     let n = r.len()?;
-    let mut body = Vec::with_capacity(n.min(1 << 16));
+    // The shortest instruction (`Nop`) is its one opcode byte.
+    let mut body = Vec::with_capacity(r.capacity(n, 1));
     for _ in 0..n {
         body.push(read_instr(r)?);
     }
@@ -903,7 +912,8 @@ fn write_class<S: Sink>(w: &mut Writer<S>, c: &Class) {
 fn read_class(r: &mut Reader) -> Result<Class, WireError> {
     let name = ClassName(r.arc_str()?);
     let nf = r.len()?;
-    let mut fields = Vec::with_capacity(nf.min(1 << 12));
+    // A field is a length-prefixed name plus a kind byte.
+    let mut fields = Vec::with_capacity(r.capacity(nf, 5));
     for _ in 0..nf {
         let fname = r.arc_str()?;
         let kind = match r.u8()? {
@@ -919,7 +929,8 @@ fn read_class(r: &mut Reader) -> Result<Class, WireError> {
         fields.push(Field { name: fname, kind });
     }
     let nm = r.len()?;
-    let mut methods = Vec::with_capacity(nm.min(1 << 12));
+    // A method is two name prefixes, params, registers and a body count.
+    let mut methods = Vec::with_capacity(r.capacity(nm, 16));
     for _ in 0..nm {
         methods.push(read_method(r)?);
     }
@@ -961,13 +972,15 @@ fn read_entry_point(r: &mut Reader) -> Result<EntryPoint, WireError> {
     let event = r.arc_str()?;
     let method = read_method_ref(r)?;
     let n = r.len()?;
-    let mut params = Vec::with_capacity(n.min(64));
+    // The shortest domain is a tag byte plus a u32 (`Choice`, `Text`).
+    let mut params = Vec::with_capacity(r.capacity(n, 5));
     for _ in 0..n {
         params.push(match r.u8()? {
             0 => ParamDomain::IntRange(r.i64()?, r.i64()?),
             1 => {
                 let k = r.len()?;
-                let mut vs = Vec::with_capacity(k.min(1 << 12));
+                // The shortest value (`Null`) is its one tag byte.
+                let mut vs = Vec::with_capacity(r.capacity(k, 1));
                 for _ in 0..k {
                     vs.push(read_value(r)?);
                 }
@@ -1072,19 +1085,23 @@ pub fn decode_dex(bytes: &[u8]) -> Result<DexFile, WireError> {
         return Err(WireError::BadMagic);
     }
     let nc = r.len()?;
-    let mut classes = Vec::with_capacity(nc.min(1 << 12));
+    // A class is a name prefix plus field and method counts.
+    let mut classes = Vec::with_capacity(r.capacity(nc, 12));
     for _ in 0..nc {
         classes.push(read_class(&mut r)?);
     }
     let nb = r.len()?;
-    let mut blobs = Vec::with_capacity(nb.min(1 << 12));
+    // A blob is two length-prefixed byte strings.
+    let mut blobs = Vec::with_capacity(r.capacity(nb, 8));
     for _ in 0..nb {
         let salt = r.bytes()?;
         let sealed = r.bytes()?;
         blobs.push(EncryptedBlob { salt, sealed });
     }
     let ne = r.len()?;
-    let mut entry_points = Vec::with_capacity(ne.min(1 << 12));
+    // An entry point is an event name, a method ref (two names), a
+    // parameter count and an f64 weight.
+    let mut entry_points = Vec::with_capacity(r.capacity(ne, 24));
     for _ in 0..ne {
         entry_points.push(read_entry_point(&mut r)?);
     }
@@ -1129,7 +1146,7 @@ pub fn encoded_fragment_len(body: &[Instr]) -> usize {
 pub fn decode_fragment(bytes: &[u8]) -> Result<Vec<Instr>, WireError> {
     let mut r = Reader::new(bytes);
     let n = r.len()?;
-    let mut body = Vec::with_capacity(n.min(1 << 16));
+    let mut body = Vec::with_capacity(r.capacity(n, 1));
     for _ in 0..n {
         body.push(read_instr(&mut r)?);
     }
@@ -1244,6 +1261,15 @@ mod tests {
             decode_fragment(&bytes),
             Err(WireError::UnexpectedEof { at: 11 })
         );
+    }
+
+    #[test]
+    fn forged_dex_counts_are_typed_errors() {
+        // A class count of u32::MAX right after the magic, with nothing
+        // behind it: sized by the 0 bytes left, then a clean EOF.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_dex(&bytes), Err(WireError::UnexpectedEof { at: 12 }));
     }
 
     #[test]

@@ -14,24 +14,24 @@
 //!   index into flat method ids, so calls skip the per-call hash lookup;
 //! * constants are pre-converted into [`RtValue`]s and static-field keys
 //!   are pre-rendered, so execution never calls `to_string()`;
-//! * hot instruction pairs are fused into superinstructions
-//!   ([`DecodedOp::HashIf`], [`DecodedOp::BinOpConstIf`],
-//!   [`DecodedOp::ConstIf`], [`DecodedOp::ConstArrayGet`]), and
-//!   straight-line runs of arithmetic become a single
-//!   [`DecodedOp::ArithChain`], when no consumed instruction is a branch
-//!   target.
+//! * two superinstructions are fused from the plain ops, when no consumed
+//!   instruction is a branch target: a `Hash` followed by an `If` on its
+//!   result against a constant becomes one [`DecodedOp::HashIf`] (the
+//!   bomb-trigger guard), and a straight-line run of two or more
+//!   arithmetic ops becomes one [`DecodedOp::ArithChain`].
 //!
-//! The decoded form is an *encoding* change only: every fused op replays
-//! the unfused op sequence (charge, write, charge, branch), and every `If`
-//! carries the original instruction index so QC-coverage telemetry keys
-//! (`eq_satisfied` / `outer_satisfied`) name source pcs. The golden
-//! digests in `tests/behavior_preservation.rs` pin this contract.
+//! The decoded form is an *encoding* change only. A fused op holds the
+//! very [`HashStep`], [`CondBranch`] and [`ArithStep`] values the plain
+//! ops hold, and the dispatch loop runs them through the same helpers, so
+//! it replays the unfused sequence (charge, write, charge, branch) by
+//! construction. Every branch carries the original instruction index so
+//! QC-coverage telemetry keys (`eq_satisfied` / `outer_satisfied`) name
+//! source pcs. The golden digests in `tests/behavior_preservation.rs` pin
+//! this contract.
 
 use crate::package::InstalledPackage;
 use crate::value::RtValue;
-use bombdroid_dex::{
-    BinOp, CondOp, HostApi, Instr, MethodRef, Reg, RegOrConst, StrOp, UnOp, Value,
-};
+use bombdroid_dex::{BinOp, CondOp, HostApi, Instr, MethodRef, Reg, RegOrConst, StrOp, UnOp};
 use std::sync::{Arc, OnceLock};
 
 /// Right-hand operand of a decoded conditional branch.
@@ -43,16 +43,17 @@ pub(crate) enum DecodedRhs {
     Const(RtValue),
 }
 
-/// Integer right-hand operand of an [`DecodedOp::ArithChain`] step.
+/// Integer right-hand operand of an [`ArithStep`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ArithRhs {
-    /// Read the operand from a frame slot (a fused `BinOp`).
+    /// Read the operand from a frame slot (a `BinOp`).
     Slot(usize),
-    /// Pre-decoded literal (a fused `BinOpConst`).
+    /// Pre-decoded literal (a `BinOpConst`).
     Const(i64),
 }
 
-/// One step of a fused arithmetic chain: `dst = lhs <op> rhs`.
+/// One integer arithmetic op, `dst = lhs <op> rhs`: a plain
+/// [`DecodedOp::Arith`] or one step of a [`DecodedOp::ArithChain`].
 #[derive(Debug, Clone)]
 pub(crate) struct ArithStep {
     pub op: BinOp,
@@ -61,10 +62,29 @@ pub(crate) struct ArithStep {
     pub rhs: ArithRhs,
 }
 
+/// A salted condition hash, `dst = Hash(src | salt)`.
+#[derive(Debug, Clone)]
+pub(crate) struct HashStep {
+    pub dst: usize,
+    pub src: usize,
+    pub salt: Arc<[u8]>,
+}
+
+/// A conditional branch, `if lhs <cond> rhs goto target`. `target` is a
+/// decoded offset; `pc` is the *original* instruction index, kept for
+/// telemetry keys.
+#[derive(Debug, Clone)]
+pub(crate) struct CondBranch {
+    pub cond: CondOp,
+    pub lhs: usize,
+    pub rhs: DecodedRhs,
+    pub target: usize,
+    pub pc: u32,
+}
+
 /// One pre-decoded instruction. Register operands are frame-slot indices
 /// guaranteed to be in-bounds for the enclosing body's frame size; branch
-/// targets index into the decoded op array. `pc` fields on branch ops are
-/// the *original* instruction indices, preserved for telemetry keys.
+/// targets index into the decoded op array.
 #[derive(Debug, Clone)]
 pub(crate) enum DecodedOp {
     Const {
@@ -75,18 +95,7 @@ pub(crate) enum DecodedOp {
         dst: usize,
         src: usize,
     },
-    BinOp {
-        op: BinOp,
-        dst: usize,
-        lhs: usize,
-        rhs: usize,
-    },
-    BinOpConst {
-        op: BinOp,
-        dst: usize,
-        lhs: usize,
-        rhs: i64,
-    },
+    Arith(ArithStep),
     UnOp {
         op: UnOp,
         dst: usize,
@@ -98,13 +107,7 @@ pub(crate) enum DecodedOp {
         lhs: usize,
         rhs: Option<usize>,
     },
-    If {
-        cond: CondOp,
-        lhs: usize,
-        rhs: DecodedRhs,
-        target: usize,
-        pc: u32,
-    },
+    If(CondBranch),
     Switch {
         src: usize,
         arms: Box<[(i64, usize)]>,
@@ -173,11 +176,7 @@ pub(crate) enum DecodedOp {
         dst: usize,
         arr: usize,
     },
-    Hash {
-        dst: usize,
-        src: usize,
-        salt: Arc<[u8]>,
-    },
+    Hash(HashStep),
     DecryptExec {
         blob: u32,
         key_src: usize,
@@ -193,50 +192,13 @@ pub(crate) enum DecodedOp {
         msg: Arc<str>,
     },
     Nop,
-    /// Fused `Hash` + `If` on the hash result — the bomb-trigger guard
-    /// (`Hash(X|salt) == digest`).
-    HashIf {
-        dst: usize,
-        src: usize,
-        salt: Arc<[u8]>,
-        cond: CondOp,
-        rhs: RtValue,
-        target: usize,
-        pc: u32,
-    },
-    /// Fused `BinOpConst` + `If` on the result — compare+branch guards
-    /// (loop counters, threshold checks).
-    BinOpConstIf {
-        op: BinOp,
-        dst: usize,
-        lhs: usize,
-        rhs: i64,
-        cond: CondOp,
-        cmp: DecodedRhs,
-        target: usize,
-        pc: u32,
-    },
-    /// Fused `Const` + `If` on the loaded value.
-    ConstIf {
-        dst: usize,
-        value: RtValue,
-        cond: CondOp,
-        rhs: DecodedRhs,
-        target: usize,
-        pc: u32,
-    },
-    /// Fused integer-`Const` index + `ArrayGet` through it.
-    ConstArrayGet {
-        idx_dst: usize,
-        idx_val: i64,
-        dst: usize,
-        arr: usize,
-    },
+    /// Fused `Hash` + `If` on the hash result against a constant — the
+    /// bomb-trigger guard (`Hash(X|salt) == digest`). The branch's `lhs`
+    /// is the hash's `dst`.
+    HashIf(HashStep, CondBranch),
     /// Fused run of two or more consecutive `BinOp`/`BinOpConst`
     /// instructions — one dispatch for a whole straight-line arithmetic
-    /// chain (generated hash arithmetic is dominated by these). Each step
-    /// replays the unfused op in order: charge, operand reads (lhs faults
-    /// before rhs), compute, write.
+    /// chain (generated hash arithmetic is dominated by these).
     ArithChain {
         steps: Box<[ArithStep]>,
     },
@@ -345,19 +307,21 @@ fn rhs(max: &mut usize, r: &RegOrConst) -> DecodedRhs {
     }
 }
 
-/// Lowers one body (method or fragment) into decoded form, fusing hot
-/// pairs where the second instruction is not a branch target.
+/// Lowers one body (method or fragment) into decoded form, then fuses
+/// `Hash` + `If` pairs and arithmetic runs whose absorbed instructions are
+/// not branch targets.
 pub(crate) fn decode_body(
     pkg: &InstalledPackage,
     prog: &DecodedProgram,
     body: &[Instr],
 ) -> DecodedBody {
-    // An instruction that is ever jumped to cannot be consumed as the
-    // second half of a superinstruction.
+    // An instruction that is ever jumped to cannot be absorbed into the
+    // superinstruction before it.
     let mut is_target = vec![false; body.len() + 1];
     for instr in body {
         instr.for_each_branch_target(|t| is_target[t.min(body.len())] = true);
     }
+    let absorbable = |pc: usize| !is_target[pc];
 
     let mut max = 0usize;
     let mut ops: Vec<DecodedOp> = Vec::with_capacity(body.len());
@@ -365,47 +329,51 @@ pub(crate) fn decode_body(
     let mut pc_map = vec![usize::MAX; body.len() + 1];
     let mut fused = 0u64;
 
-    let mut pc = 0usize;
-    while pc < body.len() {
+    let mut lowered = body
+        .iter()
+        .enumerate()
+        .map(|(pc, instr)| (pc, lower(&mut max, pkg, prog, instr, pc)))
+        .peekable();
+    while let Some((pc, op)) = lowered.next() {
         pc_map[pc] = ops.len();
-        // A run of two or more arithmetic ops (none of which, past the
-        // first, is jumped to) becomes one ArithChain dispatch.
-        let mut run = 0usize;
-        while pc + run < body.len()
-            && matches!(
-                body[pc + run],
-                Instr::BinOp { .. } | Instr::BinOpConst { .. }
-            )
-            && (run == 0 || !is_target[pc + run])
-        {
-            run += 1;
-        }
-        if run >= 2 {
-            let steps: Box<[ArithStep]> = body[pc..pc + run]
-                .iter()
-                .map(|i| arith_step(&mut max, i))
-                .collect();
-            ops.push(DecodedOp::ArithChain { steps });
-            // Interior pcs are unreachable (not branch targets); map them
-            // past the chain so a malformed jump cannot land mid-chain.
-            pc_map[pc + 1..pc + run].fill(ops.len());
-            fused += (run - 1) as u64;
-            pc += run;
-            continue;
-        }
-        if pc + 1 < body.len() && !is_target[pc + 1] {
-            if let Some(op) = try_fuse(&mut max, &body[pc], &body[pc + 1], pc + 1) {
-                ops.push(op);
-                // Nothing branches to pc+1; map it past the fused op so a
-                // (malformed) jump there cannot land mid-pair.
-                pc_map[pc + 1] = ops.len();
-                fused += 1;
-                pc += 2;
-                continue;
+        let op = match op {
+            DecodedOp::Arith(first) => {
+                let mut steps = vec![first];
+                while let Some((_, DecodedOp::Arith(step))) =
+                    lowered.next_if(|(p, op)| absorbable(*p) && matches!(op, DecodedOp::Arith(_)))
+                {
+                    steps.push(step);
+                }
+                if steps.len() == 1 {
+                    DecodedOp::Arith(steps.swap_remove(0))
+                } else {
+                    fused += (steps.len() - 1) as u64;
+                    DecodedOp::ArithChain {
+                        steps: steps.into_boxed_slice(),
+                    }
+                }
             }
-        }
-        ops.push(lower(&mut max, pkg, prog, &body[pc], pc));
-        pc += 1;
+            DecodedOp::Hash(hash) => {
+                let guard = lowered.next_if(|(p, op)| {
+                    absorbable(*p)
+                        && matches!(op, DecodedOp::If(br)
+                            if br.lhs == hash.dst && matches!(br.rhs, DecodedRhs::Const(_)))
+                });
+                match guard {
+                    Some((_, DecodedOp::If(branch))) => {
+                        fused += 1;
+                        DecodedOp::HashIf(hash, branch)
+                    }
+                    _ => DecodedOp::Hash(hash),
+                }
+            }
+            op => op,
+        };
+        ops.push(op);
+        // Absorbed pcs are never branch targets; map them past the fused
+        // op so a malformed jump cannot land mid-op.
+        let end = lowered.peek().map_or(body.len(), |(p, _)| *p);
+        pc_map[pc + 1..end].fill(ops.len());
     }
     pc_map[body.len()] = ops.len();
 
@@ -413,11 +381,8 @@ pub(crate) fn decode_body(
     let map = |t: usize| pc_map[t.min(body.len())];
     for op in &mut ops {
         match op {
-            DecodedOp::If { target, .. }
-            | DecodedOp::Goto { target }
-            | DecodedOp::HashIf { target, .. }
-            | DecodedOp::BinOpConstIf { target, .. }
-            | DecodedOp::ConstIf { target, .. } => *target = map(*target),
+            DecodedOp::If(br) | DecodedOp::HashIf(_, br) => br.target = map(br.target),
+            DecodedOp::Goto { target } => *target = map(*target),
             DecodedOp::Switch { arms, default, .. } => {
                 for (_, t) in arms.iter_mut() {
                     *t = map(*t);
@@ -432,109 +397,6 @@ pub(crate) fn decode_body(
         bombdroid_obs::counter_add("vm.decode.fused", fused);
     }
     DecodedBody { ops, frame: max }
-}
-
-/// Lowers one `BinOp`/`BinOpConst` into an [`ArithChain`] step.
-///
-/// [`ArithChain`]: DecodedOp::ArithChain
-fn arith_step(max: &mut usize, instr: &Instr) -> ArithStep {
-    match instr {
-        Instr::BinOp { op, dst, lhs, rhs } => ArithStep {
-            op: *op,
-            dst: slot(max, *dst),
-            lhs: slot(max, *lhs),
-            rhs: ArithRhs::Slot(slot(max, *rhs)),
-        },
-        Instr::BinOpConst { op, dst, lhs, rhs } => ArithStep {
-            op: *op,
-            dst: slot(max, *dst),
-            lhs: slot(max, *lhs),
-            rhs: ArithRhs::Const(*rhs),
-        },
-        _ => unreachable!("arith_step caller checked the instruction kind"),
-    }
-}
-
-/// Attempts to fuse the pair at (`first`, `second`); `if_pc` is the
-/// original index of the second instruction (the telemetry key for its
-/// `If` component). Targets are left as original indices and remapped by
-/// the caller.
-fn try_fuse(max: &mut usize, first: &Instr, second: &Instr, if_pc: usize) -> Option<DecodedOp> {
-    match (first, second) {
-        (
-            Instr::Hash { dst, src, salt },
-            Instr::If {
-                cond,
-                lhs,
-                rhs: RegOrConst::Const(v),
-                target,
-            },
-        ) if lhs == dst => Some(DecodedOp::HashIf {
-            dst: slot(max, *dst),
-            src: slot(max, *src),
-            salt: Arc::from(salt.as_slice()),
-            cond: *cond,
-            rhs: v.clone().into(),
-            target: *target,
-            pc: if_pc as u32,
-        }),
-        (
-            Instr::BinOpConst {
-                op,
-                dst,
-                lhs,
-                rhs: lit,
-            },
-            Instr::If {
-                cond,
-                lhs: if_lhs,
-                rhs: if_rhs,
-                target,
-            },
-        ) if if_lhs == dst => Some(DecodedOp::BinOpConstIf {
-            op: *op,
-            dst: slot(max, *dst),
-            lhs: slot(max, *lhs),
-            rhs: *lit,
-            cond: *cond,
-            cmp: rhs(max, if_rhs),
-            target: *target,
-            pc: if_pc as u32,
-        }),
-        (
-            Instr::Const { dst, value },
-            Instr::If {
-                cond,
-                lhs,
-                rhs: if_rhs,
-                target,
-            },
-        ) if lhs == dst => Some(DecodedOp::ConstIf {
-            dst: slot(max, *dst),
-            value: value.clone().into(),
-            cond: *cond,
-            rhs: rhs(max, if_rhs),
-            target: *target,
-            pc: if_pc as u32,
-        }),
-        (
-            Instr::Const {
-                dst,
-                value: Value::Int(n),
-            },
-            Instr::ArrayGet {
-                dst: gdst,
-                arr,
-                idx,
-            },
-        ) if idx == dst => Some(DecodedOp::ConstArrayGet {
-            idx_dst: slot(max, *dst),
-            idx_val: *n,
-            dst: slot(max, *gdst),
-            arr: slot(max, *arr),
-        }),
-        _ => None,
-    }
 }
 
 /// Lowers one instruction (no fusion); `pc` is its original index.
@@ -554,18 +416,18 @@ fn lower(
             dst: slot(max, *dst),
             src: slot(max, *src),
         },
-        Instr::BinOp { op, dst, lhs, rhs } => DecodedOp::BinOp {
+        Instr::BinOp { op, dst, lhs, rhs } => DecodedOp::Arith(ArithStep {
             op: *op,
             dst: slot(max, *dst),
             lhs: slot(max, *lhs),
-            rhs: slot(max, *rhs),
-        },
-        Instr::BinOpConst { op, dst, lhs, rhs } => DecodedOp::BinOpConst {
+            rhs: ArithRhs::Slot(slot(max, *rhs)),
+        }),
+        Instr::BinOpConst { op, dst, lhs, rhs } => DecodedOp::Arith(ArithStep {
             op: *op,
             dst: slot(max, *dst),
             lhs: slot(max, *lhs),
-            rhs: *rhs,
-        },
+            rhs: ArithRhs::Const(*rhs),
+        }),
         Instr::UnOp { op, dst, src } => DecodedOp::UnOp {
             op: *op,
             dst: slot(max, *dst),
@@ -582,13 +444,13 @@ fn lower(
             lhs,
             rhs: if_rhs,
             target,
-        } => DecodedOp::If {
+        } => DecodedOp::If(CondBranch {
             cond: *cond,
             lhs: slot(max, *lhs),
             rhs: rhs(max, if_rhs),
             target: *target,
             pc: pc as u32,
-        },
+        }),
         Instr::Switch { src, arms, default } => DecodedOp::Switch {
             src: slot(max, *src),
             arms: arms.clone().into_boxed_slice(),
@@ -651,11 +513,11 @@ fn lower(
             dst: slot(max, *dst),
             arr: slot(max, *arr),
         },
-        Instr::Hash { dst, src, salt } => DecodedOp::Hash {
+        Instr::Hash { dst, src, salt } => DecodedOp::Hash(HashStep {
             dst: slot(max, *dst),
             src: slot(max, *src),
             salt: Arc::from(salt.as_slice()),
-        },
+        }),
         Instr::DecryptExec { blob, key_src } => DecodedOp::DecryptExec {
             blob: blob.0,
             key_src: slot(max, *key_src),

@@ -198,7 +198,7 @@ pub fn run_session(
     events_per_minute: u64,
 ) -> SessionReport {
     let mut report = SessionReport::default();
-    let deadline_ms = vm.clock_ms() + minutes * 60_000;
+    let deadline_ms = vm.clock_ms().saturating_add(minutes.saturating_mul(60_000));
     let idle_ms = 60_000 / events_per_minute.max(1);
     while vm.clock_ms() < deadline_ms {
         if vm.is_killed() || vm.is_frozen() {

@@ -2,13 +2,18 @@
 //! decrypted fragments, detached fragments — goes through
 //! [`Vm::exec_decoded`].
 //!
-//! Each fused superinstruction replays the unfused op sequence it
-//! replaces: the same `charge` calls in the same order, the same fault
-//! precedence, the same telemetry writes keyed on original instruction
-//! indices. The golden digests in `tests/behavior_preservation.rs` pin
-//! that contract.
+//! The two superinstructions are built from the plain ops: `ArithChain`
+//! runs `Vm::arith_step` once per step, and `HashIf` runs
+//! `Vm::hash_step` then `Vm::branch`, the same helpers the plain
+//! `Arith`, `Hash` and `If` arms call. So a fused op makes the same
+//! `charge` calls in the same order, with the same fault precedence and
+//! the same telemetry writes keyed on original instruction indices, as
+//! the ops it replaces. The golden digests in
+//! `tests/behavior_preservation.rs` pin that contract.
 
-use crate::decode::{ArithRhs, DecodedBody, DecodedOp, DecodedProgram, DecodedRhs};
+use crate::decode::{
+    ArithRhs, ArithStep, CondBranch, DecodedBody, DecodedOp, DecodedProgram, DecodedRhs, HashStep,
+};
 use crate::value::RtValue;
 use crate::vm::{Fault, Flow, Vm};
 use bombdroid_crypto::kdf;
@@ -61,27 +66,69 @@ impl Vm {
         }
     }
 
-    /// Shared compare+telemetry tail of every conditional branch (plain or
-    /// fused): operands were fetched by the caller *after* any fused write,
-    /// preserving aliasing semantics. Does not charge.
-    fn cond_branch(
+    /// One integer arithmetic op, plain or an `ArithChain` step: charge,
+    /// lhs read, rhs read (an lhs fault wins), compute, write. Fuel
+    /// exhaustion and type/div faults therefore land mid-chain at the same
+    /// instruction they would without fusion.
+    #[inline(always)]
+    fn arith_step(&mut self, regs: &mut [RtValue], step: &ArithStep) -> Result<(), Fault> {
+        self.charge(1)?;
+        let a = regs[step.lhs]
+            .as_int()
+            .ok_or(Fault::TypeError("binop lhs not int"))?;
+        let b = match step.rhs {
+            ArithRhs::Slot(s) => regs[s]
+                .as_int()
+                .ok_or(Fault::TypeError("binop rhs not int"))?,
+            ArithRhs::Const(c) => c,
+        };
+        regs[step.dst] = RtValue::Int(Self::arith(step.op, a, b)?);
+        Ok(())
+    }
+
+    /// One salted condition hash, plain or the first half of a `HashIf`.
+    #[inline(always)]
+    fn hash_step(&mut self, regs: &mut [RtValue], hash: &HashStep) -> Result<(), Fault> {
+        // Hashing ≤ 16 input bytes is a handful of SHA-1 compressions —
+        // cheap next to interpreter dispatch.
+        self.charge(4)?;
+        let cb = regs[hash.src]
+            .canonical_bytes()
+            .ok_or(Fault::TypeError("hash of reference value"))?;
+        let digest = kdf::condition_hash(&cb, &hash.salt);
+        regs[hash.dst] = RtValue::Bytes(Arc::from(&digest[..]));
+        Ok(())
+    }
+
+    /// One conditional branch at decoded offset `pc`, plain or the second
+    /// half of a `HashIf` (whose operand reads then see the hash just
+    /// written): charge, compare, QC-coverage telemetry keyed on the
+    /// source pc, coverage edge. Returns the next decoded offset.
+    #[inline(always)]
+    fn branch(
         &mut self,
-        a: RtValue,
-        b: RtValue,
-        rhs_is_const: bool,
-        cond: CondOp,
-        src_pc: usize,
+        regs: &[RtValue],
+        br: &CondBranch,
+        pc: usize,
         mref: &MethodRef,
-    ) -> Result<bool, Fault> {
-        let taken = Self::compare(cond, &a, &b)?;
+        cov_unit: u32,
+    ) -> Result<usize, Fault> {
+        self.charge(1)?;
+        let a = &regs[br.lhs];
+        let (b, rhs_is_const) = match &br.rhs {
+            DecodedRhs::Slot(s) => (&regs[*s], false),
+            DecodedRhs::Const(v) => (v, true),
+        };
+        let taken = Self::compare(br.cond, a, b)?;
         // QC-coverage telemetry: an equality on a constant that held.
         // (`Eq` taken, or `Ne` fall-through.)
-        let eq_held = match cond {
+        let eq_held = match br.cond {
             CondOp::Eq => taken,
             CondOp::Ne => !taken,
             _ => false,
         };
         if eq_held && rhs_is_const {
+            let src_pc = br.pc as usize;
             self.telemetry.eq_satisfied.insert((mref.clone(), src_pc));
             if matches!(a, RtValue::Bytes(_)) {
                 self.telemetry
@@ -89,15 +136,9 @@ impl Vm {
                     .insert((mref.clone(), src_pc));
             }
         }
-        Ok(taken)
-    }
-
-    #[inline]
-    fn fetch_rhs(regs: &[RtValue], rhs: &DecodedRhs) -> (RtValue, bool) {
-        match rhs {
-            DecodedRhs::Slot(s) => (regs[*s].clone(), false),
-            DecodedRhs::Const(v) => (v.clone(), true),
-        }
+        let next = if taken { br.target } else { pc + 1 };
+        self.cov_edge(cov_unit, pc as u32, next as u32);
+        Ok(next)
     }
 
     /// The decoded dispatch loop. `regs` is grown to the body's frame size
@@ -133,23 +174,7 @@ impl Vm {
                     self.charge(1)?;
                     regs[*dst] = regs[*src].clone();
                 }
-                DecodedOp::BinOp { op, dst, lhs, rhs } => {
-                    self.charge(1)?;
-                    let a = regs[*lhs]
-                        .as_int()
-                        .ok_or(Fault::TypeError("binop lhs not int"))?;
-                    let b = regs[*rhs]
-                        .as_int()
-                        .ok_or(Fault::TypeError("binop rhs not int"))?;
-                    regs[*dst] = RtValue::Int(Self::arith(*op, a, b)?);
-                }
-                DecodedOp::BinOpConst { op, dst, lhs, rhs } => {
-                    self.charge(1)?;
-                    let a = regs[*lhs]
-                        .as_int()
-                        .ok_or(Fault::TypeError("binop lhs not int"))?;
-                    regs[*dst] = RtValue::Int(Self::arith(*op, a, *rhs)?);
-                }
+                DecodedOp::Arith(step) => self.arith_step(regs, step)?,
                 DecodedOp::UnOp { op, dst, src } => {
                     self.charge(1)?;
                     let a = regs[*src]
@@ -169,21 +194,7 @@ impl Vm {
                     let v = self.str_op_vals(*op, a, rhs_val)?;
                     regs[*dst] = v;
                 }
-                DecodedOp::If {
-                    cond,
-                    lhs,
-                    rhs,
-                    target,
-                    pc: src_pc,
-                } => {
-                    self.charge(1)?;
-                    let a = regs[*lhs].clone();
-                    let (b, is_const) = Self::fetch_rhs(regs, rhs);
-                    if self.cond_branch(a, b, is_const, *cond, *src_pc as usize, mref)? {
-                        next = *target;
-                    }
-                    self.cov_edge(cov_unit, pc as u32, next as u32);
-                }
+                DecodedOp::If(br) => next = self.branch(regs, br, pc, mref, cov_unit)?,
                 DecodedOp::Switch { src, arms, default } => {
                     self.charge(1)?;
                     let v = regs[*src]
@@ -355,16 +366,7 @@ impl Vm {
                     };
                     regs[*dst] = RtValue::Int(n as i64);
                 }
-                DecodedOp::Hash { dst, src, salt } => {
-                    // Hashing ≤ 16 input bytes is a handful of SHA-1
-                    // compressions — cheap next to interpreter dispatch.
-                    self.charge(4)?;
-                    let cb = regs[*src]
-                        .canonical_bytes()
-                        .ok_or(Fault::TypeError("hash of reference value"))?;
-                    let digest = kdf::condition_hash(&cb, salt);
-                    regs[*dst] = RtValue::Bytes(Arc::from(&digest[..]));
-                }
+                DecodedOp::Hash(hash) => self.hash_step(regs, hash)?,
                 DecodedOp::DecryptExec { blob, key_src } => {
                     let key_val = regs[*key_src].clone();
                     let fragment = self.fragment_for(BlobId(*blob), key_val)?;
@@ -401,109 +403,16 @@ impl Vm {
                 DecodedOp::Nop => {
                     self.charge(1)?;
                 }
-                DecodedOp::HashIf {
-                    dst,
-                    src,
-                    salt,
-                    cond,
-                    rhs,
-                    target,
-                    pc: src_pc,
-                } => {
+                DecodedOp::HashIf(hash, br) => {
                     self.op_mix.hash_if += 1;
-                    // Hash micro-op.
-                    self.charge(4)?;
-                    let cb = regs[*src]
-                        .canonical_bytes()
-                        .ok_or(Fault::TypeError("hash of reference value"))?;
-                    let digest = kdf::condition_hash(&cb, salt);
-                    regs[*dst] = RtValue::Bytes(Arc::from(&digest[..]));
-                    // If micro-op on the written result.
-                    self.charge(1)?;
-                    let a = regs[*dst].clone();
-                    if self.cond_branch(a, rhs.clone(), true, *cond, *src_pc as usize, mref)? {
-                        next = *target;
-                    }
-                    self.cov_edge(cov_unit, pc as u32, next as u32);
-                }
-                DecodedOp::BinOpConstIf {
-                    op,
-                    dst,
-                    lhs,
-                    rhs,
-                    cond,
-                    cmp,
-                    target,
-                    pc: src_pc,
-                } => {
-                    self.op_mix.binop_const_if += 1;
-                    self.charge(1)?;
-                    let a = regs[*lhs]
-                        .as_int()
-                        .ok_or(Fault::TypeError("binop lhs not int"))?;
-                    regs[*dst] = RtValue::Int(Self::arith(*op, a, *rhs)?);
-                    self.charge(1)?;
-                    let a = regs[*dst].clone();
-                    let (b, is_const) = Self::fetch_rhs(regs, cmp);
-                    if self.cond_branch(a, b, is_const, *cond, *src_pc as usize, mref)? {
-                        next = *target;
-                    }
-                    self.cov_edge(cov_unit, pc as u32, next as u32);
-                }
-                DecodedOp::ConstIf {
-                    dst,
-                    value,
-                    cond,
-                    rhs,
-                    target,
-                    pc: src_pc,
-                } => {
-                    self.op_mix.const_if += 1;
-                    self.charge(1)?;
-                    regs[*dst] = value.clone();
-                    self.charge(1)?;
-                    let a = regs[*dst].clone();
-                    let (b, is_const) = Self::fetch_rhs(regs, rhs);
-                    if self.cond_branch(a, b, is_const, *cond, *src_pc as usize, mref)? {
-                        next = *target;
-                    }
-                    self.cov_edge(cov_unit, pc as u32, next as u32);
+                    self.hash_step(regs, hash)?;
+                    next = self.branch(regs, br, pc, mref, cov_unit)?;
                 }
                 DecodedOp::ArithChain { steps } => {
                     self.op_mix.arith_chain += 1;
-                    // Each step replays the unfused op exactly: charge, lhs
-                    // read, rhs read, compute, write — so fuel exhaustion
-                    // and type/div faults land mid-chain at the same
-                    // instruction they would without fusion.
                     for step in steps.iter() {
-                        self.charge(1)?;
-                        let a = regs[step.lhs]
-                            .as_int()
-                            .ok_or(Fault::TypeError("binop lhs not int"))?;
-                        let b = match step.rhs {
-                            ArithRhs::Slot(s) => regs[s]
-                                .as_int()
-                                .ok_or(Fault::TypeError("binop rhs not int"))?,
-                            ArithRhs::Const(c) => c,
-                        };
-                        regs[step.dst] = RtValue::Int(Self::arith(step.op, a, b)?);
+                        self.arith_step(regs, step)?;
                     }
-                }
-                DecodedOp::ConstArrayGet {
-                    idx_dst,
-                    idx_val,
-                    dst,
-                    arr,
-                } => {
-                    self.op_mix.const_array_get += 1;
-                    self.charge(1)?;
-                    regs[*idx_dst] = RtValue::Int(*idx_val);
-                    self.charge(1)?;
-                    // Fetch after the index write: `arr` may alias it.
-                    let arr_val = regs[*arr].clone();
-                    let iv = regs[*idx_dst].clone();
-                    let v = self.array_slot_vals(&arr_val, &iv)?.clone();
-                    regs[*dst] = v;
                 }
             }
             pc = next;

@@ -237,10 +237,7 @@ pub(crate) enum Flow {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OpMix {
     pub(crate) hash_if: u64,
-    pub(crate) binop_const_if: u64,
-    pub(crate) const_if: u64,
     pub(crate) arith_chain: u64,
-    pub(crate) const_array_get: u64,
     pub(crate) frag_cache_hits: u64,
     pub(crate) frag_cache_misses: u64,
     pub(crate) decode_body_fetches: u64,
@@ -364,10 +361,7 @@ impl Vm {
         let m = &self.op_mix;
         for (name, v) in [
             ("vm.ops.hash_if", m.hash_if),
-            ("vm.ops.binop_const_if", m.binop_const_if),
-            ("vm.ops.const_if", m.const_if),
             ("vm.ops.arith_chain", m.arith_chain),
-            ("vm.ops.const_array_get", m.const_array_get),
             ("vm.frag_cache.hits", m.frag_cache_hits),
             ("vm.frag_cache.misses", m.frag_cache_misses),
             ("vm.decode.body_fetches", m.decode_body_fetches),
@@ -427,9 +421,12 @@ impl Vm {
         self.frozen
     }
 
-    /// Advances idle time (user think-time between events).
+    /// Advances virtual time: idle time between events, and every clock
+    /// advance the VM makes itself. Saturates at `u64::MAX` rather than
+    /// overflowing, since guest bytecode (which a repackager controls)
+    /// chooses `SleepMs` durations.
     pub fn advance_ms(&mut self, ms: u64) {
-        self.clock_ms += ms;
+        self.clock_ms = self.clock_ms.saturating_add(ms);
     }
 
     /// A sorted snapshot of all static fields — the app's observable state
@@ -531,7 +528,7 @@ impl Vm {
         self.instr_accum += cost;
         while self.instr_accum >= self.opts.instr_per_ms {
             self.instr_accum -= self.opts.instr_per_ms;
-            self.clock_ms += 1;
+            self.advance_ms(1);
         }
         if self.fuel < cost {
             self.fuel = 0;
@@ -910,7 +907,7 @@ impl Vm {
                     at_ms: at,
                 });
                 // A frozen app burns its whole event budget spinning.
-                self.clock_ms += self.fuel / self.opts.instr_per_ms;
+                self.advance_ms(self.fuel / self.opts.instr_per_ms);
                 self.fuel = 0;
                 Err(Fault::Frozen)
             }
@@ -927,7 +924,7 @@ impl Vm {
             }
             HostApi::SleepMs => {
                 let ms = args.first().and_then(|v| v.as_int()).unwrap_or(0).max(0);
-                self.clock_ms += ms as u64;
+                self.advance_ms(ms as u64);
                 Ok(RtValue::Null)
             }
             HostApi::Marker(id) => {

@@ -479,3 +479,159 @@ fn detached_fragments_run_on_the_dispatch_loop() {
     assert!(!edges.is_empty());
     assert!(edges.iter().all(|&(unit, _, _)| unit == DETACHED_COV_UNIT));
 }
+
+#[test]
+fn guest_sleeps_saturate_the_clock() {
+    // Guest bytecode picks the sleep duration; three maximal sleeps must
+    // pin the clock at u64::MAX, not overflow it.
+    let dex = one_method_dex(|b| {
+        let ms = b.fresh_reg();
+        b.const_(ms, i64::MAX);
+        for _ in 0..3 {
+            b.host(HostApi::SleepMs, vec![ms], None);
+        }
+        b.ret_void();
+    });
+    let (mut vm, result) = run_one(dex, RtValue::Int(0));
+    result.unwrap();
+    assert_eq!(vm.clock_ms(), u64::MAX);
+    vm.advance_ms(1);
+    assert_eq!(vm.clock_ms(), u64::MAX);
+}
+
+/// Fault placement inside the two superinstructions. Each body is shaped
+/// so the decoder fuses it — three adjacent arithmetic ops become one
+/// `ArithChain`, a `Hash` followed by an `If` on its result against a
+/// constant becomes one `HashIf` — and each must stop at the same
+/// instruction, with the same charge, as the unfused ops. Costs: entering
+/// `T.m` 5, arithmetic, `If` and `Return` 1, `NewInstance` 2, `Hash` 4,
+/// `HostCall` 10; a charge that runs out of fuel still counts.
+#[test]
+fn fused_ops_fault_where_the_plain_ops_would() {
+    let salt = b"fused-salt".to_vec();
+    let secret = Value::Int(41);
+    let hc = Value::bytes(kdf::condition_hash(&secret.canonical_bytes(), &salt));
+    let arith = |op, dst, lhs, rhs| Instr::BinOpConst {
+        op,
+        dst: Reg(dst),
+        lhs: Reg(lhs),
+        rhs,
+    };
+    let hash = Instr::Hash {
+        dst: Reg(2),
+        src: Reg(1),
+        salt: salt.clone(),
+    };
+    let guard = |cond| Instr::If {
+        cond,
+        lhs: Reg(2),
+        rhs: RegOrConst::Const(hc.clone()),
+        target: 4,
+    };
+    let ret = Instr::Return { src: None };
+    let move_arg = Instr::Move {
+        dst: Reg(1),
+        src: Reg(0),
+    };
+    struct Case {
+        name: &'static str,
+        body: Vec<Instr>,
+        arg: RtValue,
+        fuel: u64,
+        instr: u64,
+        result: Result<(), Fault>,
+        /// Source pc whose constant-equality guard held on a `Bytes`
+        /// operand (keys both `eq_satisfied` and `outer_satisfied`).
+        satisfied_at: Option<usize>,
+    }
+    let cases = [
+        Case {
+            name: "chain divides by zero at step 2",
+            body: vec![
+                arith(BinOp::Add, 1, 0, 1),
+                arith(BinOp::Div, 1, 1, 0),
+                arith(BinOp::Add, 1, 1, 1),
+                ret.clone(),
+            ],
+            arg: RtValue::Int(7),
+            fuel: VmOptions::default().fuel_per_event,
+            instr: 5 + 2,
+            result: Err(Fault::DivByZero),
+            satisfied_at: None,
+        },
+        Case {
+            name: "fuel runs out at chain step 2",
+            body: vec![
+                arith(BinOp::Add, 1, 0, 1),
+                arith(BinOp::Mul, 1, 1, 3),
+                arith(BinOp::Add, 1, 1, 1),
+                ret.clone(),
+            ],
+            arg: RtValue::Int(7),
+            fuel: 5 + 1,
+            instr: 5 + 2,
+            result: Err(Fault::OutOfFuel),
+            satisfied_at: None,
+        },
+        Case {
+            name: "hash of a reference operand",
+            body: vec![
+                Instr::NewInstance {
+                    dst: Reg(1),
+                    class: "T".into(),
+                },
+                hash.clone(),
+                guard(CondOp::Eq),
+                Instr::Nop,
+                ret.clone(),
+            ],
+            arg: RtValue::Int(41),
+            fuel: VmOptions::default().fuel_per_event,
+            instr: 5 + 2 + 4,
+            result: Err(Fault::TypeError("hash of reference value")),
+            satisfied_at: None,
+        },
+        Case {
+            name: "hash guard matches",
+            body: vec![
+                move_arg,
+                hash,
+                guard(CondOp::Ne),
+                Instr::HostCall {
+                    api: HostApi::Marker(3),
+                    args: vec![],
+                    dst: None,
+                },
+                ret,
+            ],
+            arg: RtValue::Int(41),
+            fuel: VmOptions::default().fuel_per_event,
+            instr: 5 + 1 + 4 + 1 + 10 + 1,
+            result: Ok(()),
+            satisfied_at: Some(2),
+        },
+    ];
+    for case in cases {
+        let dex = one_method_dex(|b| {
+            for instr in case.body {
+                b.push(instr);
+            }
+        });
+        let opts = VmOptions {
+            fuel_per_event: case.fuel,
+            ..VmOptions::default()
+        };
+        let mut vm = Vm::new(install(dex), DeviceEnv::attacker_lab(1).remove(0), 42, opts);
+        let outcome = vm.fire_method(&MethodRef::new("T", "m"), vec![case.arg]);
+        assert_eq!(outcome.result, case.result, "{}", case.name);
+        assert_eq!(outcome.instr, case.instr, "{}", case.name);
+        let keys: Vec<_> = case
+            .satisfied_at
+            .map(|pc| (MethodRef::new("T", "m"), pc))
+            .into_iter()
+            .collect();
+        let t = vm.telemetry();
+        assert!(t.eq_satisfied.iter().eq(&keys), "{}", case.name);
+        assert!(t.outer_satisfied.iter().eq(&keys), "{}", case.name);
+    }
+}

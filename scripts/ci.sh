@@ -20,6 +20,11 @@ run cargo test -q --workspace --offline
 # crates by path, so the builds above never see it: a crate API change that
 # breaks it would otherwise pass here and only fail at benchmark time.
 run cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# Its test does a short traced run of every workload and checks each pinned
+# reference (fuzz coverage fingerprints, session report digests), which no
+# workspace test covers: a decoder change that renumbers decoded pcs or
+# moves a `vm.ops.*` counter fails here first.
+run cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # clippy/fmt are optional toolchain components; gate on availability so the
 # script works on minimal rust installs.
