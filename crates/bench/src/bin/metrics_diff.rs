@@ -1,35 +1,25 @@
-//! Compares two schema-v1 `metrics.json` artifacts and reports drift.
+//! Compares two schema-v1 `metrics.json` artifacts and fails on any
+//! deterministic drift.
 //!
 //! ```text
-//! metrics_diff <base.json> <candidate.json> [--threshold <pct>]
+//! metrics_diff <base.json> <candidate.json>
 //! ```
 //!
-//! Prints a table of changed/added/removed metrics: counter deltas with
-//! relative change, histogram count/sum deltas with approximate p50
-//! drift, and timing call/p95 drift (wall-clock, informational only).
-//! Exits 1 when any deterministic quantity (a counter value or histogram
-//! count) drifts more than `--threshold` percent (default 10), or when
-//! such a key appears/disappears; exits 2 on usage or parse errors;
-//! exits 0 otherwise. CI runs this advisory between a committed reference
-//! artifact and each fresh smoke run so metric drift is visible in the
-//! log before anyone has to bisect for it.
+//! Validates both inputs against the `bombdroid-obs` schema, then prints
+//! a table of changed/added/removed metrics: counter deltas with relative
+//! change, histogram count/sum deltas with approximate p50 drift, and
+//! timing call/p95 drift (wall-clock, informational only). Exits 1 when
+//! any deterministic quantity (a counter value or histogram count)
+//! changes at all, or when such a key appears or disappears; exits 2 on
+//! usage, read or validation errors; exits 0 otherwise. CI runs this as a
+//! hard gate between the committed `scripts/metrics_reference.json` and
+//! each fresh smoke run, so a missing instrumentation point or any
+//! behaviour change fails until the reference is regenerated.
 
 fn main() {
-    let mut paths: Vec<String> = Vec::new();
-    let mut threshold = 10.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threshold" {
-            threshold = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("metrics_diff: --threshold needs a number");
-                std::process::exit(2);
-            });
-        } else {
-            paths.push(arg);
-        }
-    }
+    let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.len() != 2 {
-        eprintln!("usage: metrics_diff <base.json> <candidate.json> [--threshold <pct>]");
+        eprintln!("usage: metrics_diff <base.json> <candidate.json>");
         std::process::exit(2);
     }
 
@@ -45,13 +35,13 @@ fn main() {
     let base = read(&paths[0]);
     let cand = read(&paths[1]);
 
-    match bombdroid_obs::diff::diff_metrics(&base, &cand, threshold) {
+    match bombdroid_obs::diff::diff_metrics(&base, &cand) {
         Ok(report) => {
             println!("metrics_diff: {} vs {}", paths[0], paths[1]);
             print!("{}", report.table());
             if report.has_breach() {
                 eprintln!(
-                    "metrics_diff: {} breach(es) beyond ±{threshold}%",
+                    "metrics_diff: {} deterministic metric(s) differ",
                     report.breaches()
                 );
                 std::process::exit(1);

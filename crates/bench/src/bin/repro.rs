@@ -20,10 +20,10 @@
 //!
 //! `BOMBDROID_OBS` controls the observability layer (`bombdroid-obs`):
 //! `full` (default) prints a metrics summary and writes
-//! `target/repro_output/metrics.json`; `summary` prints the table only;
-//! `off` disables recording. Per-experiment progress and the metrics
-//! summary go to stderr: stdout carries only the experiment tables and
-//! stays bit-identical for any thread count.
+//! `target/repro_output/metrics.json` and `flight.json`; `off` disables
+//! recording. Per-experiment progress and the metrics summary go to
+//! stderr: stdout carries only the experiment tables and stays
+//! bit-identical for any thread count.
 
 use bombdroid_bench::experiments as ex;
 use bombdroid_bench::print::{f1, pct, table};
@@ -172,12 +172,13 @@ fn main() {
     export_metrics();
 }
 
-/// Prints the metrics summary (`summary`/`full` modes) and writes the
-/// schema-versioned `target/repro_output/metrics.json` artifact (`full`
-/// mode). The summary goes to **stderr**: it contains wall-clock timings,
-/// and stdout must stay bit-identical for any `BOMBDROID_THREADS` value
-/// (the fleet determinism contract). In the artifact the nondeterministic
-/// subset is confined to the `total_ns` fields.
+/// Prints the metrics summary and writes the schema-versioned
+/// `target/repro_output/metrics.json` artifact plus the flight ring's
+/// `flight.json`, each validated first; an invalid document or a failed
+/// write exits 1. The summary goes to **stderr**: it contains wall-clock
+/// timings, and stdout must stay bit-identical for any `BOMBDROID_THREADS`
+/// value (the fleet determinism contract). In the artifact the
+/// nondeterministic subset is confined to the `total_ns` fields.
 fn export_metrics() {
     if !obs::enabled() {
         return;
@@ -188,26 +189,20 @@ fn export_metrics() {
     }
     eprintln!("\n=== metrics (BOMBDROID_OBS) ===\n");
     eprint!("{}", rec.summary());
-    if obs::mode() != obs::ObsMode::Full {
-        return;
-    }
-    let dir = std::path::Path::new("target/repro_output");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("metrics: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("metrics.json");
-    match std::fs::write(&path, rec.to_json(true)) {
-        Ok(()) => eprintln!("metrics written to {}", path.display()),
-        Err(e) => eprintln!("metrics: cannot write {}: {e}", path.display()),
-    }
-    // Also dump the flight ring on clean exits so CI can validate its
-    // schema without having to crash the process.
-    let flight_path = dir.join("flight.json");
-    match obs::flight::dump(&flight_path) {
-        Ok(()) => eprintln!("flight events written to {}", flight_path.display()),
-        Err(e) => eprintln!("flight: cannot write {}: {e}", flight_path.display()),
-    }
+    write_artifact(
+        "metrics",
+        "metrics.json",
+        &rec.to_json(true),
+        obs::validate_metrics,
+    );
+    // Also dump the flight ring on clean exits so its schema is checked
+    // without having to crash the process.
+    write_artifact(
+        "flight",
+        "flight.json",
+        &obs::flight::to_json(),
+        obs::validate_flight,
+    );
 }
 
 fn banner(title: &str, paper: &str) {

@@ -42,6 +42,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -105,7 +106,7 @@ impl FleetConfig {
 pub fn env_threads() -> Option<usize> {
     std::env::var("BOMBDROID_THREADS")
         .ok()
-        .and_then(|s| s.parse().ok())
+        .and_then(|s| s.trim().parse().ok())
 }
 
 /// SplitMix64 finalizer: mixes `base` and `index` into an independent
@@ -168,11 +169,12 @@ thread_local! {
     static IN_FLEET_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Whether the current thread is executing inside a fleet task ([`run_fleet`]
-/// or [`run_map`]). Nested parallel stages (e.g. a parallel protect inside a
-/// fleet experiment) consult this to fall back to serial execution instead of
-/// oversubscribing the machine — their output is thread-count-independent, so
-/// the fallback is invisible.
+/// Whether the current thread is executing inside a fleet task
+/// ([`run_fleet`], [`run_range_windowed`], or a pooled [`run_map`]). Nested
+/// parallel stages (e.g. a parallel protect inside a fleet experiment)
+/// consult this to fall back to serial execution instead of
+/// oversubscribing the machine — their output is thread-count-independent,
+/// so the fallback is invisible.
 pub fn in_worker() -> bool {
     IN_FLEET_WORKER.with(|f| f.get())
 }
@@ -210,28 +212,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Where the streaming fold sends each task's recorder delta.
-enum FoldSink<'a> {
-    /// Merge straight into the fleet caller's recorder ([`run_fleet`]).
-    Parent(Arc<obs::Recorder>),
-    /// Absorb into a windowed aggregator ([`run_range_windowed`]).
-    Windowed(&'a obs::ShardAggregator),
-}
-
-impl FoldSink<'_> {
-    fn absorb(&self, rec: &obs::Recorder) {
-        match self {
-            FoldSink::Parent(parent) => parent.merge_from(rec),
-            FoldSink::Windowed(agg) => {
-                agg.absorb_next(rec);
-            }
-        }
-    }
-}
-
 /// Reorder buffer for the streaming obs fold: completed task recorders
-/// wait here until every lower index has been folded, so the sink always
-/// sees deltas in task-index order no matter how workers interleave.
+/// wait here until every lower index has been folded, so the fold target
+/// always sees deltas in task-index order no matter how workers interleave.
 struct ObsFold {
     next: usize,
     pending: BTreeMap<usize, Arc<obs::Recorder>>,
@@ -248,21 +231,87 @@ impl ObsFold {
     }
 
     /// Parks `rec` as task `index`'s delta, then drains every consecutive
-    /// delta starting at `next` into the sink.
-    fn complete(&mut self, index: usize, rec: Arc<obs::Recorder>, sink: &FoldSink<'_>) {
+    /// delta starting at `next` into `fold_into`.
+    fn complete(
+        &mut self,
+        index: usize,
+        rec: Arc<obs::Recorder>,
+        fold_into: impl Fn(&obs::Recorder),
+    ) {
         self.pending.insert(index, rec);
         self.peak_pending = self.peak_pending.max(self.pending.len());
         while let Some(rec) = self.pending.remove(&self.next) {
-            sink.absorb(&rec);
+            fold_into(&rec);
             self.next += 1;
         }
     }
 }
 
+/// One owned value per index, moved in or out by whichever worker claims
+/// that index. The `Mutex` keeps this safe without unsafe cells; its cost
+/// is trivial next to any real task.
+struct Slots<T>(Vec<Mutex<Option<T>>>);
+
+impl<T> Slots<T> {
+    fn new(values: impl IntoIterator<Item = Option<T>>) -> Self {
+        Slots(values.into_iter().map(Mutex::new).collect())
+    }
+
+    fn swap(&self, index: usize, value: Option<T>) -> Option<T> {
+        let mut slot = self.0[index].lock().unwrap_or_else(|e| e.into_inner());
+        std::mem::replace(&mut *slot, value)
+    }
+
+    fn into_vec(self) -> Vec<T> {
+        self.0
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .expect("fleet slot never filled")
+            })
+            .collect()
+    }
+}
+
+/// The worker pool behind every fleet entry point: `workers` threads (the
+/// calling thread alone when `workers <= 1`) claim indices `0..n` from a
+/// shared atomic cursor, each marked as a fleet worker ([`in_worker`])
+/// while it runs. Results come back in index order.
+fn run_pool<R, F>(workers: usize, n: usize, run: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let results = Slots::new((0..n).map(|_| None));
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let _guard = WorkerGuard::enter();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                break;
+            }
+            results.swap(index, Some(run(index)));
+        }
+    };
+    if workers <= 1 {
+        worker();
+    } else {
+        crossbeam::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|_| worker());
+            }
+        })
+        .expect("fleet worker panicked");
+    }
+    results.into_vec()
+}
+
 /// Runs `tasks` on `config.threads` workers and returns per-task results in
 /// task order. Each task sees only its [`TaskCtx`]; a panicking or failing
 /// task occupies its slot with a [`FleetError`] without taking down the rest
-/// of the fleet.
+/// of the fleet. Per-task metrics merge into the caller's recorder.
 pub fn run_fleet<T, R, E, F>(
     config: FleetConfig,
     tasks: Vec<T>,
@@ -274,19 +323,30 @@ where
     E: Send,
     F: Fn(TaskCtx, T) -> Result<R, E> + Sync,
 {
-    let sink = FoldSink::Parent(obs::current());
-    run_fleet_inner(config, tasks, sink, 0, f)
+    let n = tasks.len();
+    let tasks = Slots::new(tasks.into_iter().map(Some));
+    let parent = obs::current();
+    run_range(
+        config,
+        0..n,
+        |rec| parent.merge_from(rec),
+        |ctx| {
+            let task = tasks
+                .swap(ctx.index, None)
+                .expect("fleet task slot claimed twice");
+            f(ctx, task)
+        },
+    )
 }
 
-/// [`run_fleet`] over the index-only tasks of a global index range, with
-/// per-task metrics folded into `aggregator` instead of the caller's
-/// recorder — the streaming shape for fleet-scale runs. The aggregator
-/// seals a [`obs::WindowSummary`] every N tasks (its window size) and keeps
-/// a running total, so live metric memory stays O(windows), not O(tasks);
-/// repeated calls (e.g. one per simulated day) keep absorbing into the
-/// same aggregator in order. The aggregator's total is bit-identical to
-/// what [`run_fleet`] would have merged into the caller's recorder for the
-/// same tasks.
+/// The fleet over a global index range, with per-task metrics folded into
+/// `aggregator` instead of the caller's recorder — the streaming shape for
+/// fleet-scale runs. The aggregator seals a [`obs::WindowSummary`] every N
+/// tasks (its window size) and keeps a running total, so live metric memory
+/// stays O(windows), not O(tasks); repeated calls (e.g. one per simulated
+/// day) keep absorbing into the same aggregator in order. The aggregator's
+/// total is bit-identical to what [`run_fleet`] would have merged into the
+/// caller's recorder for the same tasks.
 ///
 /// Task `i` of `range` sees `TaskCtx { index: i, seed: derive_seed(base_seed,
 /// i) }` — the same context it would see inside a single `0..n` run. This
@@ -296,7 +356,7 @@ where
 /// run, because nothing about a task depends on where its chunk started.
 pub fn run_range_windowed<R, E, F>(
     config: FleetConfig,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     aggregator: &obs::ShardAggregator,
     f: F,
 ) -> Vec<Result<R, FleetError<E>>>
@@ -305,113 +365,77 @@ where
     E: Send,
     F: Fn(TaskCtx) -> Result<R, E> + Sync,
 {
-    let offset = range.start;
-    run_fleet_inner(
+    run_range(
         config,
-        (0..range.len()).collect(),
-        FoldSink::Windowed(aggregator),
-        offset,
-        |ctx, _i: usize| f(ctx),
+        range,
+        |rec| {
+            aggregator.absorb_next(rec);
+        },
+        f,
     )
 }
 
-fn run_fleet_inner<T, R, E, F>(
+/// The range-and-fold core: runs task `i` of `range` with its [`TaskCtx`]
+/// on the worker pool, isolates its errors and panics, and streams each
+/// task's recorder into `fold_into` in task-index order.
+fn run_range<R, E, F>(
     config: FleetConfig,
-    tasks: Vec<T>,
-    sink: FoldSink<'_>,
-    index_offset: usize,
+    range: Range<usize>,
+    fold_into: impl Fn(&obs::Recorder) + Sync,
     f: F,
 ) -> Vec<Result<R, FleetError<E>>>
 where
-    T: Send,
     R: Send,
     E: Send,
-    F: Fn(TaskCtx, T) -> Result<R, E> + Sync,
+    F: Fn(TaskCtx) -> Result<R, E> + Sync,
 {
-    let n = tasks.len();
-    // Slots claimed once each via the atomic cursor; Mutex keeps it safe
-    // without unsafe cells, and the per-slot cost is trivial next to any
-    // real task.
-    type ResultSlot<R, E> = Mutex<Option<Result<R, FleetError<E>>>>;
-    let task_slots: Vec<Mutex<Option<T>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let result_slots: Vec<ResultSlot<R, E>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
+    let n = range.len();
     // Streaming obs fold (see module docs): recorders are created when a
-    // task is claimed and folded into the sink as soon as their index is
-    // next, so live recorder count is bounded by workers + reorder depth.
+    // task is claimed and folded as soon as their index is next, so live
+    // recorder count is bounded by workers + reorder depth.
     let recording = obs::enabled();
     let fold = Mutex::new(ObsFold::new());
     let fleet_start = Instant::now();
 
-    let run_one = |index: usize| {
-        let _guard = WorkerGuard::enter();
-        let task = task_slots[index]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("fleet task slot claimed twice");
-        let global = index_offset + index;
+    let run_task = |index: usize| {
+        let global = range.start + index;
         let ctx = TaskCtx {
             index: global,
             seed: derive_seed(config.base_seed, global as u64),
         };
-        let run_task = |task: T| {
-            obs::counter_add("fleet.tasks", 1);
-            obs::timing_record("fleet.queue_wait", elapsed_ns(&fleet_start));
-            let run_start = Instant::now();
-            let outcome = match catch_unwind(AssertUnwindSafe(|| f(ctx, task))) {
-                Ok(Ok(r)) => Ok(r),
-                Ok(Err(e)) => {
-                    obs::counter_add("fleet.task_errors", 1);
-                    obs::flight::note("fleet.task_error", || format!("task #{index}"));
-                    Err(FleetError::Task(e))
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload);
-                    obs::counter_add("fleet.task_panics", 1);
-                    obs::flight::note("fleet.task_panic", || format!("task #{index}: {msg}"));
-                    Err(FleetError::Panicked(msg))
-                }
-            };
-            obs::timing_record("fleet.task_run", elapsed_ns(&run_start));
-            outcome
+        obs::counter_add("fleet.tasks", 1);
+        obs::timing_record("fleet.queue_wait", elapsed_ns(&fleet_start));
+        let run_start = Instant::now();
+        let outcome = match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
+            Ok(Ok(r)) => Ok(r),
+            Ok(Err(e)) => {
+                obs::counter_add("fleet.task_errors", 1);
+                obs::flight::note("fleet.task_error", || format!("task #{index}"));
+                Err(FleetError::Task(e))
+            }
+            Err(payload) => {
+                let msg = panic_message(payload);
+                obs::counter_add("fleet.task_panics", 1);
+                obs::flight::note("fleet.task_panic", || format!("task #{index}: {msg}"));
+                Err(FleetError::Panicked(msg))
+            }
         };
-        let outcome = if recording {
-            let rec = Arc::new(obs::Recorder::new());
-            let outcome = obs::with_recorder(rec.clone(), || run_task(task));
-            fold.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .complete(index, rec, &sink);
-            outcome
-        } else {
-            run_task(task)
-        };
-        *result_slots[index]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-    };
-
-    let worker = || loop {
-        let index = cursor.fetch_add(1, Ordering::Relaxed);
-        if index >= n {
-            break;
-        }
-        run_one(index);
+        obs::timing_record("fleet.task_run", elapsed_ns(&run_start));
+        outcome
     };
 
     let workers = config.threads.max(1).min(n.max(1));
-    if workers <= 1 {
-        worker();
-    } else {
-        crossbeam::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| worker());
-            }
-        })
-        .expect("fleet worker pool panicked outside a task");
-    }
+    let results = run_pool(workers, n, |index| {
+        if !recording {
+            return run_task(index);
+        }
+        let rec = Arc::new(obs::Recorder::new());
+        let outcome = obs::with_recorder(rec.clone(), || run_task(index));
+        fold.lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .complete(index, rec, &fold_into);
+        outcome
+    });
 
     if recording {
         let fold = fold.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -425,15 +449,7 @@ where
             )
         });
     }
-
-    result_slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("fleet task never ran")
-        })
-        .collect()
+    results
 }
 
 /// Deterministic parallel map: applies `f` to each task on up to `threads`
@@ -442,8 +458,9 @@ where
 /// This is [`run_fleet`] without the seed/obs/panic-isolation machinery —
 /// for compute fan-out whose tasks carry their own pre-drawn state (the
 /// protect pipeline's per-method arming). With `threads <= 1` (or a single
-/// task) everything runs inline on the calling thread; a panicking task
-/// propagates to the caller either way.
+/// task) everything runs inline on the calling thread and [`in_worker`]
+/// stays false, so a one-job batch may still fan out inside its task; a
+/// panicking task propagates to the caller either way.
 pub fn run_map<T, R, F>(threads: usize, tasks: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -455,41 +472,12 @@ where
     if workers <= 1 {
         return tasks.into_iter().map(f).collect();
     }
-    let task_slots: Vec<Mutex<Option<T>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let result_slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let worker = || {
-        let _guard = WorkerGuard::enter();
-        loop {
-            let index = cursor.fetch_add(1, Ordering::Relaxed);
-            if index >= n {
-                break;
-            }
-            let task = task_slots[index]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("map task slot claimed twice");
-            *result_slots[index]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some(f(task));
-        }
-    };
-    crossbeam::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| worker());
-        }
+    let tasks = Slots::new(tasks.into_iter().map(Some));
+    run_pool(workers, n, |index| {
+        f(tasks
+            .swap(index, None)
+            .expect("map task slot claimed twice"))
     })
-    .expect("map worker panicked");
-    result_slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("map task never ran")
-        })
-        .collect()
 }
 
 /// Unwraps a fleet's results, panicking with the index and error of the
@@ -681,6 +669,34 @@ mod tests {
         assert_eq!(whole_agg.window_digests(), split_agg.window_digests());
         // Global indices flow into TaskCtx unchanged.
         assert_eq!(whole[13].0, 13);
+    }
+
+    #[test]
+    fn in_worker_marks_fleet_tasks_and_pooled_maps_only() {
+        let never = |flags: Vec<bool>| flags.iter().all(|w| !w);
+        for threads in [1, 3] {
+            let cfg = FleetConfig::serial(5).with_threads(threads);
+            let flags = expect_all(run_fleet(cfg, vec![(); 6], |_, ()| {
+                Ok::<_, std::convert::Infallible>(in_worker())
+            }));
+            assert!(flags.iter().all(|&w| w), "run_fleet at {threads} threads");
+            assert!(
+                !in_worker(),
+                "run_fleet at {threads} threads leaks the mark"
+            );
+        }
+
+        let pooled = run_map(3, vec![(); 6], |()| in_worker());
+        assert!(
+            pooled.iter().all(|&w| w),
+            "pooled run_map tasks are workers"
+        );
+        assert!(!in_worker());
+
+        // Inline maps stay unmarked, so a one-job batch may still fan out.
+        assert!(never(run_map(3, vec![()], |()| in_worker())));
+        assert!(never(run_map(1, vec![(); 4], |()| in_worker())));
+        assert!(!in_worker());
     }
 
     #[test]

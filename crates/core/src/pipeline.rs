@@ -235,14 +235,7 @@ impl Protector {
         if fleet::in_worker() {
             return 1;
         }
-        if let Ok(v) = std::env::var("BOMBDROID_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        fleet::FleetConfig::from_env(0).threads
     }
 
     /// Protects `apk`, returning the instrumented (unsigned) app and a

@@ -2,20 +2,25 @@
 //!
 //! The paper's evaluation tables are comparisons — protected vs baseline,
 //! run vs run. This module gives the reproduction the same move for its
-//! own artifacts: parse two exports, walk every section, and report what
-//! changed (deltas and percentages for counters and histogram volumes,
-//! approximate p50/p95 drift for histograms and timings, added/removed
-//! keys). The `metrics_diff` binary in `bombdroid-bench` renders the
-//! report as a table and exits nonzero on a threshold breach; CI runs it
-//! advisory between a committed reference and the fresh smoke artifact.
+//! own artifacts: validate two exports, walk every section, and report
+//! what changed (deltas and percentages for counters and histogram
+//! volumes, approximate p50/p95 drift for histograms and timings,
+//! added/removed keys). The `metrics_diff` binary in `bombdroid-bench`
+//! renders the report as a table and exits nonzero on any breach; CI runs
+//! it as a hard gate between a committed reference and the fresh smoke
+//! artifact.
 //!
-//! Breaches are only raised for *deterministic* quantities — counter
-//! values and histogram counts. Wall-clock numbers (timing `total_ns`,
-//! percentile estimates) vary run to run and are reported for context,
-//! never failed on.
+//! Breaches are exact and only raised for *deterministic* quantities —
+//! counter values and histogram counts, which are bit-identical for any
+//! thread count — plus any key added to or removed from those sections.
+//! Wall-clock numbers (timing `total_ns`, percentile estimates) and gauges
+//! vary run to run and are reported for context, never failed on.
+
+use std::collections::BTreeSet;
 
 use crate::hist::bucket_floor;
 use crate::json::{parse, JsonValue};
+use crate::schema::validate_metrics;
 
 /// What happened to one metric between the two artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,16 +49,13 @@ pub struct DiffEntry {
     /// Relative change in percent, when both sides are numeric and the
     /// base is nonzero.
     pub pct: Option<f64>,
-    /// Whether this row breaches the threshold (deterministic sections
-    /// only).
+    /// Whether this row changes a deterministic quantity.
     pub breach: bool,
 }
 
 /// The full comparison of two artifacts.
 #[derive(Debug, Clone)]
 pub struct DiffReport {
-    /// Threshold (percent) breaches were judged against.
-    pub threshold_pct: f64,
     /// All rows with a difference, in section/name order.
     pub entries: Vec<DiffEntry>,
     /// Metrics compared (changed or not) — a sanity denominator.
@@ -61,7 +63,7 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Whether any row breached the threshold.
+    /// Whether any row is a breach.
     pub fn has_breach(&self) -> bool {
         self.entries.iter().any(|e| e.breach)
     }
@@ -99,11 +101,10 @@ impl DiffReport {
             ));
         }
         out.push_str(&format!(
-            "{} difference(s) across {} metrics, {} breach(es) at ±{}%\n",
+            "{} difference(s) across {} metrics, {} breach(es)\n",
             self.entries.len(),
             self.compared,
-            self.breaches(),
-            self.threshold_pct
+            self.breaches()
         ));
         out
     }
@@ -151,200 +152,96 @@ fn int_field(v: &JsonValue, key: &str) -> i128 {
     v.get(key).and_then(JsonValue::as_int).unwrap_or(0)
 }
 
-/// Parses and compares two `metrics.json` texts. `threshold_pct` bounds
-/// the tolerated relative drift of counters and histogram counts; an
-/// added or removed key in those sections also counts as a breach (the
-/// vocabulary itself changed).
-pub fn diff_metrics(base: &str, cand: &str, threshold_pct: f64) -> Result<DiffReport, String> {
-    let base = parse(base).map_err(|e| format!("base: {e}"))?;
-    let cand = parse(cand).map_err(|e| format!("candidate: {e}"))?;
-    for (label, v) in [("base", &base), ("candidate", &cand)] {
-        if v.as_object().is_none() {
-            return Err(format!("{label}: top level is not an object"));
+/// The sections compared, in report order, and whether a change in each
+/// is a breach (deterministic) or context only (gauges, wall-clock).
+const SECTIONS: [(&str, bool); 4] = [
+    ("counters", true),
+    ("gauges", false),
+    ("histograms", true),
+    ("timings", false),
+];
+
+/// One metric as the diff sees it: the compared quantities (the headline
+/// value — counter or gauge value, histogram count, timing calls — and one
+/// secondary field), the rendering of a changed row, and the brief
+/// rendering of an added or removed one.
+fn describe(section: &str, v: &JsonValue) -> ((i128, i128), String, String) {
+    match section {
+        "histograms" => {
+            let (n, sum) = (int_field(v, "count"), int_field(v, "sum"));
+            let p50 = v
+                .get("buckets")
+                .and_then(JsonValue::as_array)
+                .and_then(|bk| bucket_percentile(bk, 50.0))
+                .unwrap_or(0);
+            (
+                (n, sum),
+                format!("n={n} Σ={sum} p50={p50}"),
+                format!("n={n}"),
+            )
+        }
+        "timings" => {
+            let (calls, p95) = (int_field(v, "calls"), int_field(v, "p95_ns"));
+            let p95_fmt = crate::fmt_ns(p95.max(0) as u64);
+            let full = format!("calls={calls} p95={p95_fmt}");
+            ((calls, p95), full, "present".to_string())
+        }
+        _ => {
+            let x = v.as_int().unwrap_or(0);
+            ((x, 0), x.to_string(), x.to_string())
         }
     }
+}
+
+/// Validates and compares two `metrics.json` texts. Any change to a
+/// counter value or histogram count, and any key added to or removed from
+/// those sections, is a breach; an input that fails [`validate_metrics`]
+/// is an error labelled with its side.
+pub fn diff_metrics(base: &str, cand: &str) -> Result<DiffReport, String> {
+    let load = |label: &str, text: &str| {
+        validate_metrics(text)
+            .and_then(|()| parse(text).map_err(|e| e.to_string()))
+            .map_err(|e| format!("{label}: {e}"))
+    };
+    let (base, cand) = (load("base", base)?, load("candidate", cand)?);
 
     let mut entries = Vec::new();
     let mut compared = 0usize;
-
-    let empty = std::collections::BTreeMap::new();
-    let section = |root: &JsonValue, name: &str| -> std::collections::BTreeMap<String, JsonValue> {
-        root.get(name)
-            .and_then(JsonValue::as_object)
-            .unwrap_or(&empty)
-            .clone()
-    };
-
-    // Scalar sections: counters breach, gauges are informational.
-    for (sec, deterministic) in [("counters", true), ("gauges", false)] {
-        let b = section(&base, sec);
-        let c = section(&cand, sec);
-        for name in b.keys().chain(c.keys().filter(|k| !b.contains_key(*k))) {
-            match (b.get(name), c.get(name)) {
-                (Some(bv), Some(cv)) => {
-                    compared += 1;
-                    let (bi, ci) = (bv.as_int().unwrap_or(0), cv.as_int().unwrap_or(0));
-                    if let Some(p) = pct_change(bi, ci) {
-                        entries.push(DiffEntry {
-                            section: sec,
-                            name: name.clone(),
-                            kind: DiffKind::Changed,
-                            base: bi.to_string(),
-                            cand: ci.to_string(),
-                            pct: Some(p),
-                            breach: deterministic && p.abs() > threshold_pct,
-                        });
-                    }
+    for (section, deterministic) in SECTIONS {
+        let [b, c] = [&base, &cand].map(|root| {
+            root.get(section)
+                .and_then(JsonValue::as_object)
+                .expect("validate_metrics checks every section")
+        });
+        let names: BTreeSet<&String> = b.keys().chain(c.keys()).collect();
+        for name in names {
+            compared += 1;
+            let b = b.get(name).map(|v| describe(section, v));
+            let c = c.get(name).map(|v| describe(section, v));
+            let (kind, base, cand, pct) = match (b, c) {
+                (Some((bq, _, _)), Some((cq, _, _))) if bq == cq => continue,
+                (Some((bq, bs, _)), Some((cq, cs, _))) => {
+                    (DiffKind::Changed, bs, cs, pct_change(bq.0, cq.0))
                 }
-                (Some(bv), None) => {
-                    compared += 1;
-                    entries.push(DiffEntry {
-                        section: sec,
-                        name: name.clone(),
-                        kind: DiffKind::Removed,
-                        base: bv.as_int().map(|i| i.to_string()).unwrap_or_default(),
-                        cand: "-".to_string(),
-                        pct: None,
-                        breach: deterministic,
-                    });
-                }
-                (None, Some(cv)) => {
-                    compared += 1;
-                    entries.push(DiffEntry {
-                        section: sec,
-                        name: name.clone(),
-                        kind: DiffKind::Added,
-                        base: "-".to_string(),
-                        cand: cv.as_int().map(|i| i.to_string()).unwrap_or_default(),
-                        pct: None,
-                        breach: deterministic,
-                    });
-                }
-                (None, None) => {}
-            }
+                (Some((_, _, bs)), None) => (DiffKind::Removed, bs, "-".to_string(), None),
+                (None, Some((_, _, cs))) => (DiffKind::Added, "-".to_string(), cs, None),
+                (None, None) => unreachable!("name comes from one of the sections"),
+            };
+            // A changed row breaches only when its headline moved (a
+            // histogram whose sum alone drifted is context).
+            let breach = deterministic && (kind != DiffKind::Changed || pct.is_some());
+            entries.push(DiffEntry {
+                section,
+                name: name.clone(),
+                kind,
+                base,
+                cand,
+                pct,
+                breach,
+            });
         }
     }
-
-    Ok(finish_diff(base, cand, threshold_pct, entries, compared))
-}
-
-fn finish_diff(
-    base: JsonValue,
-    cand: JsonValue,
-    threshold_pct: f64,
-    mut entries: Vec<DiffEntry>,
-    mut compared: usize,
-) -> DiffReport {
-    let empty = std::collections::BTreeMap::new();
-    let section = |root: &JsonValue, name: &str| -> std::collections::BTreeMap<String, JsonValue> {
-        root.get(name)
-            .and_then(JsonValue::as_object)
-            .unwrap_or(&empty)
-            .clone()
-    };
-
-    // Histograms: breach on count drift; report sum and percentile drift.
-    let b = section(&base, "histograms");
-    let c = section(&cand, "histograms");
-    for name in b.keys().chain(c.keys().filter(|k| !b.contains_key(*k))) {
-        compared += 1;
-        match (b.get(name), c.get(name)) {
-            (Some(bh), Some(ch)) => {
-                let (bc, cc) = (int_field(bh, "count"), int_field(ch, "count"));
-                let (bs, cs) = (int_field(bh, "sum"), int_field(ch, "sum"));
-                if bc == cc && bs == cs {
-                    continue;
-                }
-                let p50 = |h: &JsonValue| {
-                    h.get("buckets")
-                        .and_then(JsonValue::as_array)
-                        .and_then(|bk| bucket_percentile(bk, 50.0))
-                        .unwrap_or(0)
-                };
-                let pct = pct_change(bc, cc);
-                entries.push(DiffEntry {
-                    section: "histograms",
-                    name: name.clone(),
-                    kind: DiffKind::Changed,
-                    base: format!("n={bc} Σ={bs} p50={}", p50(bh)),
-                    cand: format!("n={cc} Σ={cs} p50={}", p50(ch)),
-                    pct,
-                    breach: pct.map(|p| p.abs() > threshold_pct).unwrap_or(false),
-                });
-            }
-            (Some(bh), None) => entries.push(DiffEntry {
-                section: "histograms",
-                name: name.clone(),
-                kind: DiffKind::Removed,
-                base: format!("n={}", int_field(bh, "count")),
-                cand: "-".to_string(),
-                pct: None,
-                breach: true,
-            }),
-            (None, Some(ch)) => entries.push(DiffEntry {
-                section: "histograms",
-                name: name.clone(),
-                kind: DiffKind::Added,
-                base: "-".to_string(),
-                cand: format!("n={}", int_field(ch, "count")),
-                pct: None,
-                breach: true,
-            }),
-            (None, None) => {}
-        }
-    }
-
-    // Timings: wall-clock, purely informational — report call-count and
-    // percentile drift, never breach.
-    let b = section(&base, "timings");
-    let c = section(&cand, "timings");
-    for name in b.keys().chain(c.keys().filter(|k| !b.contains_key(*k))) {
-        compared += 1;
-        match (b.get(name), c.get(name)) {
-            (Some(bt), Some(ct)) => {
-                let (bc, cc) = (int_field(bt, "calls"), int_field(ct, "calls"));
-                let (bp, cp) = (int_field(bt, "p95_ns"), int_field(ct, "p95_ns"));
-                if bc == cc && bp == cp {
-                    continue;
-                }
-                entries.push(DiffEntry {
-                    section: "timings",
-                    name: name.clone(),
-                    kind: DiffKind::Changed,
-                    base: format!("calls={bc} p95={}", crate::fmt_ns(bp.max(0) as u64)),
-                    cand: format!("calls={cc} p95={}", crate::fmt_ns(cp.max(0) as u64)),
-                    pct: pct_change(bc, cc),
-                    breach: false,
-                });
-            }
-            (Some(_), None) => entries.push(DiffEntry {
-                section: "timings",
-                name: name.clone(),
-                kind: DiffKind::Removed,
-                base: "present".to_string(),
-                cand: "-".to_string(),
-                pct: None,
-                breach: false,
-            }),
-            (None, Some(_)) => entries.push(DiffEntry {
-                section: "timings",
-                name: name.clone(),
-                kind: DiffKind::Added,
-                base: "-".to_string(),
-                cand: "present".to_string(),
-                pct: None,
-                breach: false,
-            }),
-            (None, None) => {}
-        }
-    }
-
-    entries.sort_by(|a, b| (a.section, &a.name).cmp(&(b.section, &b.name)));
-    DiffReport {
-        threshold_pct,
-        entries,
-        compared,
-    }
+    Ok(DiffReport { entries, compared })
 }
 
 #[cfg(test)]
@@ -367,7 +264,7 @@ mod tests {
     #[test]
     fn identical_artifacts_produce_no_differences() {
         let a = artifact(10, &[1, 2, 3], 1000);
-        let report = diff_metrics(&a, &a, 5.0).unwrap();
+        let report = diff_metrics(&a, &a).unwrap();
         assert!(report.entries.is_empty(), "{}", report.table());
         assert!(!report.has_breach());
         assert!(report.compared >= 4);
@@ -375,30 +272,20 @@ mod tests {
     }
 
     #[test]
-    fn counter_drift_breaches_threshold() {
+    fn one_unit_counter_drift_is_a_breach() {
         let base = artifact(100, &[1], 1000);
-        let cand = artifact(120, &[1], 1000);
-        let report = diff_metrics(&base, &cand, 10.0).unwrap();
+        let cand = artifact(101, &[1], 1000);
+        let report = diff_metrics(&base, &cand).unwrap();
         assert!(report.has_breach());
+        assert_eq!(report.breaches(), 1);
         let row = report
             .entries
             .iter()
             .find(|e| e.name == "c.moving")
             .expect("moving counter reported");
         assert_eq!(row.kind, DiffKind::Changed);
-        assert!((row.pct.unwrap() - 20.0).abs() < 1e-9);
+        assert!((row.pct.unwrap() - 1.0).abs() < 1e-9);
         assert!(report.table().contains("BREACH"));
-        // Same drift under a looser threshold: reported but not a breach.
-        let loose = diff_metrics(&base, &cand, 50.0).unwrap();
-        assert!(!loose.has_breach());
-        assert_eq!(
-            loose
-                .entries
-                .iter()
-                .filter(|e| e.name == "c.moving")
-                .count(),
-            1
-        );
     }
 
     #[test]
@@ -414,7 +301,7 @@ mod tests {
             r.timing_record("t", 1000);
             r.to_json(true)
         };
-        let report = diff_metrics(&base, &cand, 99.0).unwrap();
+        let report = diff_metrics(&base, &cand).unwrap();
         let kinds: Vec<_> = report
             .entries
             .iter()
@@ -429,7 +316,7 @@ mod tests {
     fn histogram_count_drift_breaches_but_timing_drift_never_does() {
         let base = artifact(10, &[5, 5], 1_000);
         let cand = artifact(10, &[5, 5, 5, 5], 9_999_999);
-        let report = diff_metrics(&base, &cand, 10.0).unwrap();
+        let report = diff_metrics(&base, &cand).unwrap();
         let hist = report
             .entries
             .iter()
@@ -448,7 +335,7 @@ mod tests {
     fn gauges_report_without_breaching() {
         let base = artifact(10, &[1], 1000);
         let cand = base.replace("\"g\": 5", "\"g\": 50");
-        let report = diff_metrics(&base, &cand, 1.0).unwrap();
+        let report = diff_metrics(&base, &cand).unwrap();
         let g = report
             .entries
             .iter()
@@ -459,13 +346,27 @@ mod tests {
 
     #[test]
     fn malformed_inputs_error_with_side_labels() {
-        assert!(diff_metrics("not json", "{}", 5.0)
+        let good = artifact(10, &[1], 1000);
+        assert!(diff_metrics("not json", &good)
             .unwrap_err()
             .contains("base"));
-        assert!(diff_metrics("{}", "not json", 5.0)
+        assert!(diff_metrics(&good, "not json")
             .unwrap_err()
             .contains("candidate"));
-        assert!(diff_metrics("[]", "{}", 5.0).unwrap_err().contains("base"));
+        assert!(diff_metrics("[]", &good).unwrap_err().contains("base"));
+    }
+
+    #[test]
+    fn candidate_failing_schema_validation_is_an_error() {
+        let good = artifact(10, &[1], 1000);
+        let bad = good.replace(
+            &format!("\"schema_version\": {}", crate::SCHEMA_VERSION),
+            "\"schema_version\": 999",
+        );
+        assert_ne!(good, bad, "fixture must carry a schema_version");
+        let err = diff_metrics(&good, &bad).unwrap_err();
+        assert!(err.starts_with("candidate"), "{err}");
+        assert!(err.contains("999"), "{err}");
     }
 
     #[test]

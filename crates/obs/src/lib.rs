@@ -6,7 +6,7 @@
 //! instrument: a zero-dependency facade the protection pipeline, the fleet
 //! engine, the VM, and the bench harness all record into, with two
 //! exporters — a human summary table and a schema-versioned
-//! `metrics.json` artifact that CI validates and future runs can diff.
+//! `metrics.json` artifact that CI diffs against a committed reference.
 //!
 //! # Model
 //!
@@ -35,10 +35,8 @@
 //! `BOMBDROID_OBS` controls the layer process-wide:
 //!
 //! * `off` — facade calls are no-ops (one atomic load each).
-//! * `summary` — record everything; `repro` prints the summary table but
-//!   writes no artifact.
-//! * `full` (default) — record everything; `repro` also writes
-//!   `target/repro_output/metrics.json`.
+//! * `full` (default, and any other value) — record everything; `repro`
+//!   prints the summary table and writes `target/repro_output/metrics.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,8 +65,6 @@ use std::sync::{Arc, OnceLock};
 pub enum ObsMode {
     /// Record nothing; export nothing.
     Off,
-    /// Record; print the human summary; no artifact.
-    Summary,
     /// Record; print the summary; write `metrics.json`. The default.
     Full,
 }
@@ -79,13 +75,12 @@ impl ObsMode {
     pub fn parse(s: &str) -> ObsMode {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "none" => ObsMode::Off,
-            "summary" => ObsMode::Summary,
             _ => ObsMode::Full,
         }
     }
 }
 
-// 0 = uninitialised, 1 = Off, 2 = Summary, 3 = Full. An AtomicU8 rather
+// 0 = uninitialised, 1 = Off, 2 = Full. An AtomicU8 rather
 // than a OnceLock so bench harnesses can flip modes inside one process to
 // measure off-vs-full overhead ([`set_mode`]).
 static MODE: AtomicU8 = AtomicU8::new(0);
@@ -93,8 +88,7 @@ static MODE: AtomicU8 = AtomicU8::new(0);
 fn encode_mode(m: ObsMode) -> u8 {
     match m {
         ObsMode::Off => 1,
-        ObsMode::Summary => 2,
-        ObsMode::Full => 3,
+        ObsMode::Full => 2,
     }
 }
 
@@ -103,8 +97,7 @@ fn encode_mode(m: ObsMode) -> u8 {
 pub fn mode() -> ObsMode {
     match MODE.load(Ordering::Relaxed) {
         1 => ObsMode::Off,
-        2 => ObsMode::Summary,
-        3 => ObsMode::Full,
+        2 => ObsMode::Full,
         _ => {
             let m = std::env::var("BOMBDROID_OBS")
                 .map(|s| ObsMode::parse(&s))
@@ -220,9 +213,10 @@ mod tests {
     fn mode_parsing() {
         assert_eq!(ObsMode::parse("off"), ObsMode::Off);
         assert_eq!(ObsMode::parse("0"), ObsMode::Off);
-        assert_eq!(ObsMode::parse("SUMMARY"), ObsMode::Summary);
+        assert_eq!(ObsMode::parse("OFF"), ObsMode::Off);
         assert_eq!(ObsMode::parse("full"), ObsMode::Full);
         assert_eq!(ObsMode::parse("anything-else"), ObsMode::Full);
+        assert_eq!(ObsMode::parse("summary"), ObsMode::Full);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Schema validation for `metrics.json` artifacts.
+//! Schema validation for `metrics.json` and `flight.json` artifacts.
 //!
-//! CI runs this (via the `metrics_check` binary in `bombdroid-bench`)
-//! against the artifact a `repro` smoke run produces, so a PR that breaks
-//! the artifact shape, regresses a counter to garbage, or bumps the schema
-//! without coordinating fails before merge.
+//! `repro` runs both validators before it writes either artifact, and
+//! `metrics_diff` runs [`validate_metrics`] on both of its inputs, so a
+//! change that breaks the artifact shape, regresses a counter to garbage,
+//! or bumps the schema without coordinating fails before merge.
 
 use crate::json::{parse, JsonValue};
 use crate::recorder::SCHEMA_VERSION;
@@ -19,11 +19,10 @@ use crate::recorder::SCHEMA_VERSION;
 /// * every histogram has non-negative `count`/`sum`/`min`/`max`, bucket
 ///   pairs `[index, count]` with indices inside the fixed bucket range,
 ///   and bucket counts summing to `count`;
-/// * every timing has a non-negative `calls` (and `total_ns` when present);
-/// * every name in `required` appears in some section.
+/// * every timing has a non-negative `calls` (and `total_ns` when present).
 ///
 /// Returns a human-readable description of the first violation.
-pub fn validate_metrics(text: &str, required: &[&str]) -> Result<(), String> {
+pub fn validate_metrics(text: &str) -> Result<(), String> {
     let root = parse(text).map_err(|e| e.to_string())?;
     let root = root
         .as_object()
@@ -98,17 +97,6 @@ pub fn validate_metrics(text: &str, required: &[&str]) -> Result<(), String> {
                     return Err(format!("timing {name:?} {key} invalid"));
                 }
             }
-        }
-    }
-
-    for name in required {
-        let present = ["counters", "gauges", "histograms", "timings"]
-            .iter()
-            .any(|s| root[*s].get(name).is_some());
-        if !present {
-            return Err(format!(
-                "required metric {name:?} absent from every section"
-            ));
         }
     }
 
@@ -206,16 +194,8 @@ mod tests {
     #[test]
     fn recorder_exports_validate() {
         let r = sample();
-        validate_metrics(&r.to_json(true), &["fleet.tasks", "pipeline.profile"])
-            .expect("full export validates");
-        validate_metrics(&r.to_json(false), &["pipeline.bombs_per_app"])
-            .expect("deterministic export validates");
-    }
-
-    #[test]
-    fn missing_required_metric_fails() {
-        let err = validate_metrics(&sample().to_json(true), &["not.there"]).unwrap_err();
-        assert!(err.contains("not.there"), "{err}");
+        validate_metrics(&r.to_json(true)).expect("full export validates");
+        validate_metrics(&r.to_json(false)).expect("deterministic export validates");
     }
 
     #[test]
@@ -224,7 +204,7 @@ mod tests {
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             "\"schema_version\": 999",
         );
-        let err = validate_metrics(&json, &[]).unwrap_err();
+        let err = validate_metrics(&json).unwrap_err();
         assert!(err.contains("999"), "{err}");
     }
 
@@ -233,7 +213,7 @@ mod tests {
         let json = sample()
             .to_json(true)
             .replace("\"fleet.tasks\": 12", "\"fleet.tasks\": -1");
-        let err = validate_metrics(&json, &[]).unwrap_err();
+        let err = validate_metrics(&json).unwrap_err();
         assert!(err.contains("fleet.tasks"), "{err}");
     }
 
@@ -242,15 +222,15 @@ mod tests {
         let json = sample()
             .to_json(true)
             .replace("\"count\": 2", "\"count\": 5");
-        let err = validate_metrics(&json, &[]).unwrap_err();
+        let err = validate_metrics(&json).unwrap_err();
         assert!(err.contains("bucket counts"), "{err}");
     }
 
     #[test]
     fn non_object_and_missing_sections_fail() {
-        assert!(validate_metrics("[]", &[]).is_err());
-        assert!(validate_metrics("{\"schema_version\": 1}", &[]).is_err());
-        assert!(validate_metrics("not json", &[]).is_err());
+        assert!(validate_metrics("[]").is_err());
+        assert!(validate_metrics("{\"schema_version\": 1}").is_err());
+        assert!(validate_metrics("not json").is_err());
     }
 
     #[test]
