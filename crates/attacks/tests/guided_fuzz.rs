@@ -155,8 +155,8 @@ fn minimized_corpus_covers_exactly_what_the_full_corpus_covers() {
 fn coverage_hook_is_invisible_to_the_cost_model() {
     // Same seed, same events, coverage on vs off: telemetry (including
     // instr_executed and the virtual clock) must be identical, and only
-    // the instrumented VM may report edges. This is the deterministic
-    // half of the "no overhead when disabled" perf guard.
+    // the instrumented VM may report edges: the hook costs nothing in the
+    // cost model.
     use bombdroid_runtime::{DeviceEnv, InstalledPackage, RtValue, Vm, VmOptions};
 
     let (apk, _) = protect(control_config());

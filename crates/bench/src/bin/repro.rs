@@ -4,8 +4,11 @@
 //! repro [--fast] <experiment>...
 //! repro all            # everything
 //! repro table1 fig3 table2 table3 fig4 table4 fig5 analysts table5 \
-//!       falsepos codesize resilience guided brute ablation population
+//!       falsepos codesize resilience guided brute ablation population service
 //! ```
+//!
+//! An unknown experiment name exits 2, listing the valid names, before
+//! any experiment runs.
 //!
 //! `--fast` scales budgets down (~10×) for a quick end-to-end pass; the
 //! default budgets match the paper's (hour-long fuzzing runs, 50 user
@@ -95,6 +98,30 @@ impl Budgets {
     }
 }
 
+/// An experiment's command-line name and the function that runs it.
+type Experiment = (&'static str, fn(&Budgets));
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table1", table1),
+    ("fig3", |_| fig3()),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig4", fig4),
+    ("table4", table4),
+    ("fig5", fig5),
+    ("analysts", analysts),
+    ("table5", table5),
+    ("falsepos", falsepos),
+    ("codesize", codesize),
+    ("resilience", resilience),
+    ("guided", guided),
+    ("brute", brute),
+    ("ablation", |_| ablation()),
+    ("population", population),
+    ("service", service),
+];
+
 fn main() {
     // A crash mid-run still leaves the flight recorder's last events on
     // disk (target/repro_output/flight.json) for post-mortem triage.
@@ -112,55 +139,27 @@ fn main() {
         .map(String::as_str)
         .collect();
     if wanted.is_empty() || wanted.contains(&"all") {
-        wanted = vec![
-            "table1",
-            "fig3",
-            "table2",
-            "table3",
-            "fig4",
-            "table4",
-            "fig5",
-            "analysts",
-            "table5",
-            "falsepos",
-            "codesize",
-            "resilience",
-            "guided",
-            "brute",
-            "ablation",
-            "population",
-            "service",
-        ];
+        wanted = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     }
-    let total = wanted.len();
-    for (i, w) in wanted.iter().enumerate() {
+    // Resolve every name before anything runs, so a typo fails at once
+    // instead of after the experiments before it.
+    let mut runs = Vec::with_capacity(wanted.len());
+    for w in wanted {
+        match EXPERIMENTS.iter().find(|(name, _)| *name == w) {
+            Some(&experiment) => runs.push(experiment),
+            None => {
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+                eprintln!("unknown experiment: {w}; one of: all {}", names.join(" "));
+                std::process::exit(2);
+            }
+        }
+    }
+    let total = runs.len();
+    for (i, (w, run)) in runs.into_iter().enumerate() {
         eprintln!("[{}/{total}] {w} ...", i + 1);
         let started = Instant::now();
         let span = obs::span(format!("experiment.{w}"));
-        match *w {
-            "table1" => table1(&budgets),
-            "fig3" => fig3(),
-            "table2" => table2(&budgets),
-            "table3" => table3(&budgets),
-            "fig4" => fig4(&budgets),
-            "table4" => table4(&budgets),
-            "fig5" => fig5(&budgets),
-            "analysts" => analysts(&budgets),
-            "table5" => table5(&budgets),
-            "falsepos" => falsepos(&budgets),
-            "codesize" => codesize(&budgets),
-            "resilience" => resilience(&budgets),
-            "guided" => guided(&budgets),
-            "population" => population(&budgets),
-            "service" => service(&budgets),
-            "brute" => brute(&budgets),
-            "ablation" => ablation(),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                span.end();
-                continue;
-            }
-        }
+        run(&budgets);
         span.end();
         obs::counter_add("repro.experiments", 1);
         eprintln!(

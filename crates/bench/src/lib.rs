@@ -2,9 +2,11 @@
 //! evaluation (§8), regenerated.
 //!
 //! Each experiment is a pure function returning structured rows, consumed
-//! by the `repro` binary (which prints paper-style tables) and by the
-//! `perf` harness. Experiments take explicit budgets so tests can run
-//! scaled-down versions of the same code paths the full reproduction uses.
+//! by the `repro` binary, which prints paper-style tables and validates
+//! each JSON artifact before writing it. Experiments take explicit budgets
+//! so tests can run scaled-down versions of the same code paths the full
+//! reproduction uses. Speed is measured by the separate `perfbench/`
+//! package, not here.
 //!
 //! | Function | Paper artefact |
 //! |---|---|
@@ -27,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 pub mod print;
 
 /// Developer/pirate keypair fixture shared by all experiments so results

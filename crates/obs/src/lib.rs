@@ -110,8 +110,8 @@ pub fn mode() -> ObsMode {
 }
 
 /// Forces the process-wide mode, overriding `BOMBDROID_OBS`. Intended for
-/// harnesses (the perf bin benches `off` vs `full` facade cost in one
-/// process); production code should let the environment decide.
+/// harnesses (the benchmark fixes the mode per run); production code
+/// should let the environment decide.
 pub fn set_mode(m: ObsMode) {
     MODE.store(encode_mode(m), Ordering::Relaxed);
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline-safe CI gate for BombDroid-rs.
 #
-#   scripts/ci.sh          # build + test + (if installed) clippy + fmt
+#   scripts/ci.sh   # build + test + (if installed) clippy + fmt, then the
+#                   # repro smokes, the metrics gate and the work-count gate
 #
 # Everything runs with --offline: all external dependencies are vendored
 # path crates under vendor/, so no registry access is ever needed.
@@ -89,44 +90,19 @@ run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
 run env BOMBDROID_OBS=full BOMBDROID_THREADS=2 \
     cargo run -q --release --offline -p bombdroid-bench --bin repro -- --fast service
 
-# Perf smoke: the hot-path harness must run end to end. perf validates
-# its BENCH_pipeline.json document before writing it (schema version,
-# mode, a non-empty list of uniquely named benches, positive iterations,
-# p50 <= p95) and fails otherwise; each --compare below validates both
-# inputs again. --fast
-# numbers are not comparison-grade; this validates the plumbing, not the
-# performance.
-run env BOMBDROID_OBS=off \
-    cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
-    --fast --out target/perf_smoke.json
-
-# Perf comparison against the committed full-mode baseline, in two tiers.
-#
-# Hard gate: the vm/ benchmarks (session boot, fork, event driving,
-# profiling) are the execution-engine contract this repo optimizes — a
-# regression there fails CI. --fast numbers on shared hardware are noisy,
-# so the gate uses a generous 75% threshold: it won't trip on jitter, only
-# on an engine that actually got slower.
-run cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
-    --compare BENCH_pipeline.json target/perf_smoke.json \
-    --threshold 75 --filter vm/
-
-# Hard gate: the pipeline/ benchmarks (protect, plan, arm) carry the
-# batch-crypto and protection-cache wins — a regression there fails CI.
-# Same generous threshold as the vm/ gate: jitter passes, real
-# regressions don't.
-run cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
-    --compare BENCH_pipeline.json target/perf_smoke.json \
-    --threshold 75 --filter pipeline/
-
-# Advisory tier: everything else only warns (never fails CI); regenerate
-# BENCH_pipeline.json with a full-mode run on quiet hardware before
-# trusting a delta.
-if cargo run -q --release --offline -p bombdroid-bench --bin perf -- \
-    --compare BENCH_pipeline.json target/perf_smoke.json --threshold 50; then
-    echo "==> perf compare: within threshold (advisory)"
-else
-    echo "==> perf compare: WARNING regression vs committed baseline (advisory only)"
-fi
+# Work-count gate: one traced benchmark run at a fixed seed does a fixed
+# amount of work on all four workloads, and its `count`/`bytes` metrics
+# (instructions, events, bombs, sealed and encoded bytes, decrypts,
+# sessions, fuzz execs, ...) must match scripts/perfbench_counts.txt line
+# for line. They repeat byte for byte across runs and worker counts but
+# depend on the seed, so the seed is fixed. A change that does more or
+# less work fails here with a diff naming the metric; when the change is
+# intentional, copy target/perfbench_counts.txt over the committed file.
+# Timing is not gated here: scripts/perf_ab.sh BASE_REV does that.
+echo "==> perfbench --workload population_vm --seed 1 --trace 1"
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload population_vm --seed 1 --trace 1 > target/perfbench_traced.txt
+grep -E ' (count|bytes)$' target/perfbench_traced.txt > target/perfbench_counts.txt
+run diff -u scripts/perfbench_counts.txt target/perfbench_counts.txt
 
 echo "==> ci green"
